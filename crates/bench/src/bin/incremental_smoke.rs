@@ -1,16 +1,20 @@
-//! CI smoke check for the incremental score engine (DESIGN.md §15):
-//! byte-diffs the PVSB serialization of an incrementally extended score
-//! book against a from-scratch seeded rebuild of the same catalog, at
-//! several worker counts.
+//! CI smoke check for the score engine (DESIGN.md §15): pins the PVSB
+//! bytes of a cold `ScoreBook::build` to a golden digest, and byte-diffs
+//! an incrementally extended score book against a from-scratch seeded
+//! rebuild of the same catalog, at several worker counts.
 //!
 //! The determinism contract this pins down:
 //!
-//! 1. **Path independence** — `ScoreBook::extend` (delta re-BFS +
-//!    warm-started PageRank) produces bit-identical scores to
-//!    `ScoreBook::build_seeded` (fresh merged graph, warm PageRank).
-//! 2. **Worker-count invariance** — both paths produce the same bytes
-//!    at 1, 2 and 4 workers.
-//! 3. **Cache transparency** — a PVSB round trip of the extended book
+//! 1. **Cold-build stability** — a cold build of the EC2 catalog
+//!    serializes to the pinned length and FNV-1a-64 digest, so any bit
+//!    change in the graph, PageRank, BPRU or PVSB layers fails the run.
+//! 2. **Path independence** — `ScoreBook::extend` (replay BFS against
+//!    the base graph's expansion cache + warm-started PageRank) produces
+//!    bit-identical scores to `ScoreBook::build_seeded` (merged graph
+//!    built cold, warm PageRank).
+//! 3. **Worker-count invariance** — all of the above produce the same
+//!    bytes at 1, 2 and 4 workers.
+//! 4. **Cache transparency** — a PVSB round trip of the extended book
 //!    re-serializes to the same bytes it was loaded from.
 //!
 //! Exits non-zero (with a diff summary on stderr) on any mismatch, so
@@ -25,10 +29,36 @@ use prvm_model::{catalog, DiskGb, MemMib, Mhz, Quantizer, VmSpec};
 /// any catalog hash works for a byte comparison.
 const CATALOG_HASH: u64 = 0x70_76_73_62;
 
+/// `(length, FNV-1a-64)` of the PVSB bytes of a cold `ScoreBook::build`
+/// of the EC2 PM and VM catalogs, saved under [`CATALOG_HASH`], at the
+/// coarse smoke quantizer and at the default quantizer (`--full`).
+const GOLDEN_COARSE: (usize, u64) = (82_046, 0xf7dd_bd43_496f_f21f);
+const GOLDEN_FULL: (usize, u64) = (35_202_326, 0x1635_51d1_b7a6_d9ad);
+
 fn book_bytes(book: &ScoreBook) -> Vec<u8> {
     let mut buf = Vec::new();
     book.save(&mut buf, CATALOG_HASH).expect("in-memory save");
     buf
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn check_golden(label: &str, (len, digest): (usize, u64), got: &[u8]) -> bool {
+    let got_digest = fnv1a64(got);
+    if got.len() == len && got_digest == digest {
+        eprintln!("[incremental-smoke] ok: {label} ({len} bytes, fnv1a64 {digest:016x})");
+        return true;
+    }
+    eprintln!(
+        "[incremental-smoke] MISMATCH: {label}: {} bytes, fnv1a64 {got_digest:016x}; \
+         golden is {len} bytes, fnv1a64 {digest:016x}",
+        got.len()
+    );
+    false
 }
 
 fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
@@ -58,14 +88,17 @@ fn check(label: &str, expected: &[u8], got: &[u8]) -> bool {
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let quantizer = if full {
-        Quantizer::default()
+    let (quantizer, golden) = if full {
+        (Quantizer::default(), GOLDEN_FULL)
     } else {
-        Quantizer {
-            core_slots: 2,
-            mem_levels: 4,
-            disk_levels: 2,
-        }
+        (
+            Quantizer {
+                core_slots: 2,
+                mem_levels: 4,
+                disk_levels: 2,
+            },
+            GOLDEN_COARSE,
+        )
     };
     let config = PageRankConfig::default();
     let limits = GraphLimits::default();
@@ -100,6 +133,15 @@ fn main() {
 
             let base = ScoreBook::build(quantizer, &pm_types, base_vms, &config, limits)
                 .expect("base catalog builds");
+            // The refresh scenario's base is the whole catalog: a cold
+            // build whose bytes are pinned.
+            if base_vms.len() == all_vms.len() {
+                ok &= check_golden(
+                    &format!("cold build golden digest at {threads} worker(s)"),
+                    golden,
+                    &book_bytes(&base),
+                );
+            }
             let extended = base
                 .extend(delta_vms, &config, limits)
                 .expect("extend succeeds");
@@ -140,7 +182,7 @@ fn main() {
     prvm_par::set_global_threads(0);
 
     if !ok {
-        eprintln!("[incremental-smoke] FAILED: incremental path diverged from rebuild");
+        eprintln!("[incremental-smoke] FAILED: a cold build or the incremental path diverged");
         std::process::exit(1);
     }
     eprintln!("[incremental-smoke] all byte-diffs clean");

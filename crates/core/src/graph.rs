@@ -20,10 +20,22 @@
 //! — per `(node, VM type)`, the outcome ids of `place` in enumeration
 //! order. That cache is what [`ProfileGraph::extend`] replays to rebuild
 //! the graph for a grown catalog without re-running the `place`
-//! combinatorics for unchanged (profile, VM-type) pairs, while minting
-//! node ids in exactly the order a from-scratch build would — the
-//! extended graph is bit-for-bit identical to a fresh
-//! [`ProfileGraph::build`] over the merged catalog.
+//! combinatorics for unchanged (profile, VM-type) pairs.
+//!
+//! # One engine per node set
+//!
+//! The paper rebuilds the graph "only when the VM-type set changes", so a
+//! cold build is a catalog delta applied to an empty catalog. Each node
+//! set therefore has exactly one construction body, and the cold build is
+//! its no-base case:
+//!
+//! * **Reachable graphs** — [`ProfileGraph::build`] is the replay BFS of
+//!   [`ProfileGraph::extend`] with no base graph: no cached groups, every
+//!   frontier node expanded by `place`, and the identity fast path never
+//!   latched. An extended graph is bit-for-bit identical to a fresh build
+//!   over the merged catalog because both *are* the same replay.
+//! * **Full-space graphs** — [`ProfileGraph::build_full`] enumerates the
+//!   space and runs the delta expansion over zero old VM types.
 
 use crate::intern::{ProfileId, ProfileInterner};
 use crate::profile::{Profile, ProfileSpace, ProfileVm};
@@ -99,6 +111,18 @@ impl fmt::Display for GraphError {
 
 impl Error for GraphError {}
 
+/// The single node-budget check: a graph of `nodes` nodes (`None` when
+/// counting it overflowed) must fit [`GraphLimits::max_nodes`] and leave
+/// `NodeId::MAX` free as the [`UNMAPPED`] sentinel.
+fn check_budget(nodes: Option<usize>, limits: GraphLimits) -> Result<(), GraphError> {
+    match nodes {
+        Some(n) if n <= limits.max_nodes && NodeId::try_from(n).is_ok() => Ok(()),
+        _ => Err(GraphError::TooLarge {
+            max_nodes: limits.max_nodes,
+        }),
+    }
+}
+
 /// Which node set a graph was built over. `extend` replays the same
 /// construction mode so the result matches a from-scratch build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +163,110 @@ struct Expansion {
     counts: Vec<usize>,
 }
 
+/// CSR arrays under construction, plus the counters both engines report.
+struct Csr {
+    succ: Vec<NodeId>,
+    succ_off: Vec<usize>,
+    gsucc: Vec<NodeId>,
+    goff: Vec<usize>,
+    /// Successor lookups answered by an already-minted node.
+    dedup_hits: usize,
+    /// `(node, VM type)` groups replayed from the base graph's cache.
+    cached_groups: usize,
+    /// `(node, VM type)` groups computed by `place`.
+    place_calls: usize,
+}
+
+impl Csr {
+    /// Empty arrays; an extend reserves the base graph's group-table
+    /// length up front, since the merged table is at least that long.
+    fn new(base: Option<&ProfileGraph>) -> Self {
+        Self {
+            succ: Vec::new(),
+            succ_off: vec![0],
+            gsucc: Vec::with_capacity(base.map_or(0, |b| b.gsucc.len())),
+            goff: vec![0],
+            dedup_hits: 0,
+            cached_groups: 0,
+            place_calls: 0,
+        }
+    }
+
+    /// Close the next node's successor row: `row` sorted and deduplicated.
+    fn push_row(&mut self, row: &[NodeId]) {
+        self.succ.extend_from_slice(row);
+        self.succ_off.push(self.succ.len());
+    }
+}
+
+/// Id-minting state of one BFS replay: the new interner plus the
+/// old↔new id maps linking it to the base graph (empty without one).
+struct Replay<'a> {
+    base: Option<&'a ProfileGraph>,
+    limits: GraphLimits,
+    interner: ProfileInterner,
+    old2new: Vec<NodeId>,
+    new2old: Vec<NodeId>,
+    /// While the old→new mapping has stayed the identity (the common
+    /// case: the delta's outcomes land on profiles the base graph
+    /// already numbered, in the same order), cached groups can be copied
+    /// verbatim and the base's already-sorted successor rows reused — no
+    /// per-entry translation. Latches off the first time a mint diverges
+    /// from the base numbering; never on without a base.
+    identity: bool,
+}
+
+impl Replay<'_> {
+    /// The base-graph id of new node `j`, if the base graph has it.
+    fn base_id(&self, j: usize) -> Option<NodeId> {
+        self.new2old.get(j).copied().filter(|&old| old != UNMAPPED)
+    }
+
+    /// Mint a profile first reached through a `place` outcome. A delta
+    /// edge can be the first road into a profile the base graph already
+    /// knows: link the id spaces so its cached expansions replay later.
+    fn mint(&mut self, vals: &[u16]) -> Result<NodeId, GraphError> {
+        check_budget(self.interner.len().checked_add(1), self.limits)?;
+        let new = self.interner.intern_values(vals).0.node();
+        let old = self.base.and_then(|b| b.interner.get(vals));
+        self.link(new, old.map(ProfileId::node));
+        Ok(new)
+    }
+
+    /// Mint base node `old`, first reached through a replayed group.
+    fn adopt(&mut self, base: &ProfileGraph, old: NodeId) -> Result<NodeId, GraphError> {
+        check_budget(self.interner.len().checked_add(1), self.limits)?;
+        let new = self
+            .interner
+            .intern_values(base.profile(old).values())
+            .0
+            .node();
+        self.link(new, Some(old));
+        Ok(new)
+    }
+
+    /// Record that new node `new` is base node `old`, or no base node.
+    fn link(&mut self, new: NodeId, old: Option<NodeId>) {
+        if self.base.is_none() {
+            // A cold build keeps no id maps: `base_id` is always `None`.
+            return;
+        }
+        match old {
+            Some(old) => {
+                self.identity &= old == new;
+                if let Some(slot) = self.old2new.get_mut(ix(old)) {
+                    *slot = new;
+                }
+                self.new2old.push(old);
+            }
+            None => {
+                self.identity = false;
+                self.new2old.push(UNMAPPED);
+            }
+        }
+    }
+}
+
 /// The profile graph for one PM type and one VM-type set.
 #[derive(Debug, Clone)]
 pub struct ProfileGraph {
@@ -167,7 +295,8 @@ impl ProfileGraph {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::build`].
+    /// Same conditions as [`Self::build`]; the space's size is checked
+    /// against the limit before any profile is enumerated.
     pub fn build_full(
         space: ProfileSpace,
         vm_types: Vec<ProfileVm>,
@@ -176,14 +305,14 @@ impl ProfileGraph {
         Self::build_full_with_pool(space, vm_types, limits, Pool::global())
     }
 
-    /// [`Self::build_full`] on an explicit worker [`Pool`]. The result
-    /// is bit-for-bit identical at any pool width (DESIGN.md §10):
-    /// successor sets are computed in parallel per node and merged in
-    /// node-index order.
+    /// [`Self::build_full`] on an explicit worker [`Pool`]: the full-space
+    /// delta expansion over zero old VM types. The result is bit-for-bit
+    /// identical at any pool width (DESIGN.md §10): successor sets are
+    /// computed in parallel per node and merged in node-index order.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::build`].
+    /// Same conditions as [`Self::build_full`].
     pub fn build_full_with_pool(
         space: ProfileSpace,
         vm_types: Vec<ProfileVm>,
@@ -191,41 +320,9 @@ impl ProfileGraph {
         pool: Pool,
     ) -> Result<Self, GraphError> {
         let _span = Span::enter("graph_build");
-        let empty = space.empty_profile();
-        let usable: Vec<ProfileVm> = vm_types
-            .into_iter()
-            .filter(|vm| !space.place(&empty, vm).is_empty())
-            .collect();
-        if usable.is_empty() {
-            return Err(GraphError::NoUsableVmTypes);
-        }
+        let vm_types = usable_catalog(&space, vm_types)?;
         let interner = enumerate_full_space(&space, limits)?;
-        let (succ, succ_off, gsucc, goff) = full_adjacency(&space, &interner, &usable, &pool);
-
-        let util = interner
-            .profiles()
-            .iter()
-            .map(|p| space.utilization(p))
-            .collect();
-        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
-        prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
-        prvm_obs::event("graph.built")
-            .field("mode", "full")
-            .field("nodes", interner.len())
-            .field("edges", succ.len())
-            .field("vm_types", usable.len())
-            .emit();
-        Ok(Self {
-            space,
-            vm_types: usable,
-            interner,
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util,
-            mode: BuildMode::Full,
-        })
+        Ok(Self::expand_full(space, vm_types, interner, None, &pool))
     }
 
     /// Build the graph by BFS from the empty profile.
@@ -267,12 +364,14 @@ impl ProfileGraph {
         Self::build_with_pool(space, vm_types, limits, Pool::global())
     }
 
-    /// [`Self::build`] on an explicit worker [`Pool`].
+    /// [`Self::build`] on an explicit worker [`Pool`]: the replay BFS of
+    /// [`Self::extend_with_pool`] with no base graph, so every frontier
+    /// node is expanded by `place`.
     ///
     /// The BFS is level-synchronous: each frontier's successor profiles
     /// are enumerated in parallel (the `place` combinatorics dominate
     /// the cost), then merged **sequentially in frontier order**, which
-    /// mints node ids in exactly the order the single-threaded queue
+    /// mints node ids in exactly the order the single-threaded FIFO-queue
     /// BFS would — so the resulting graph (node numbering, CSR layout,
     /// everything) is bit-for-bit identical at any pool width
     /// (DESIGN.md §10).
@@ -287,109 +386,8 @@ impl ProfileGraph {
         pool: Pool,
     ) -> Result<Self, GraphError> {
         let _span = Span::enter("graph_build");
-        let empty = space.empty_profile();
-        let usable: Vec<ProfileVm> = vm_types
-            .into_iter()
-            .filter(|vm| !space.place(&empty, vm).is_empty())
-            .collect();
-        if usable.is_empty() {
-            return Err(GraphError::NoUsableVmTypes);
-        }
-
-        let dims = space.dims();
-        let mut interner = ProfileInterner::new();
-        interner.intern(empty);
-        let mut succ: Vec<NodeId> = Vec::new();
-        let mut succ_off: Vec<usize> = vec![0];
-        let mut gsucc: Vec<NodeId> = Vec::new();
-        let mut goff: Vec<usize> = vec![0];
-
-        // Every edge strictly increases total usage, so nodes discovered
-        // while merging frontier node `j` sort after everything
-        // discovered from frontier nodes `< j`: processing frontiers in
-        // insertion order visits the same nodes in the same order as a
-        // plain FIFO queue, and each node is fully expanded exactly once.
-        let mut buf: Vec<NodeId> = Vec::new();
-        let mut dedup_hits = 0u64;
-        let mut level_start = 0usize;
-        while level_start < interner.len() {
-            // Expand the whole frontier in parallel. The borrow of the
-            // interner's arena ends with the map; discovered profiles
-            // are merged below, where the interner is grown.
-            let expansions: Vec<Expansion> = {
-                // Sub-span per level: the parallel part of the build.
-                // Its chunks land on worker lanes when tracing.
-                let _expand = Span::enter("expand");
-                let (_, frontier) = interner.profiles().split_at(level_start);
-                pool.map(frontier, |node| expand_node(&space, node, &usable, dims))
-            };
-            level_start = interner.len();
-            // Sub-span per level: the sequential id-minting merge. The
-            // expand/stitch split is what makes the speedup story
-            // diagnosable in a trace (parallel compute vs serial merge).
-            let stitch_span = Span::enter("stitch");
-            for exp in expansions {
-                buf.clear();
-                let mut pos = 0usize;
-                for &count in &exp.counts {
-                    for _ in 0..count {
-                        let vals = &exp.flat[pos..pos + dims];
-                        pos += dims;
-                        let id = match interner.get(vals) {
-                            Some(pid) => {
-                                dedup_hits += 1;
-                                pid.node()
-                            }
-                            None => {
-                                if interner.len() >= limits.max_nodes
-                                    || NodeId::try_from(interner.len()).is_err()
-                                {
-                                    return Err(GraphError::TooLarge {
-                                        max_nodes: limits.max_nodes,
-                                    });
-                                }
-                                interner.intern_values(vals).0.node()
-                            }
-                        };
-                        gsucc.push(id);
-                        buf.push(id);
-                    }
-                    goff.push(gsucc.len());
-                }
-                buf.sort_unstable();
-                buf.dedup();
-                succ.extend_from_slice(&buf);
-                succ_off.push(succ.len());
-            }
-            drop(stitch_span);
-        }
-
-        let util = interner
-            .profiles()
-            .iter()
-            .map(|p| space.utilization(p))
-            .collect();
-        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
-        prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
-        prvm_obs::counter!("graph.dedup_hits", dedup_hits);
-        prvm_obs::event("graph.built")
-            .field("mode", "bfs")
-            .field("nodes", interner.len())
-            .field("edges", succ.len())
-            .field("dedup_hits", dedup_hits)
-            .field("vm_types", usable.len())
-            .emit();
-        Ok(Self {
-            space,
-            vm_types: usable,
-            interner,
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util,
-            mode: BuildMode::Reachable,
-        })
+        let vm_types = usable_catalog(&space, vm_types)?;
+        Self::replay(space, vm_types, None, limits, &pool)
     }
 
     /// Rebuild this graph for a catalog grown by `delta` VM types, on
@@ -431,14 +429,15 @@ impl ProfileGraph {
 
     /// [`Self::extend`] on an explicit worker [`Pool`].
     ///
-    /// The BFS is *replayed* over the merged catalog, but for `(node,
-    /// VM type)` pairs already present in this graph the expansion
-    /// cache answers instead of `place` — only profiles first reached
-    /// through a delta edge, plus every node's delta-VM expansions, pay
-    /// the enumeration combinatorics. Ids are minted in replay
-    /// (= from-scratch) discovery order, so the result is bit-for-bit
-    /// identical to [`Self::build`] over `self.vm_types() ++ delta`, at
-    /// any pool width.
+    /// Runs the same construction as a cold build of `self.vm_types() ++
+    /// delta`, with this graph as the base: for `(node, VM type)` pairs
+    /// already present here the expansion cache answers instead of
+    /// `place` — only profiles first reached through a delta edge, plus
+    /// every node's delta-VM expansions, pay the enumeration
+    /// combinatorics. Ids are minted in from-scratch discovery order, so
+    /// the result is bit-for-bit identical to [`Self::build`] over the
+    /// merged catalog, at any pool width. A full-space graph keeps its
+    /// node set and only expands the delta VMs.
     ///
     /// # Errors
     ///
@@ -450,323 +449,287 @@ impl ProfileGraph {
         pool: Pool,
     ) -> Result<Self, GraphError> {
         let _span = Span::enter("graph_extend");
-        let empty = self.space.empty_profile();
-        let usable_delta: Vec<ProfileVm> = delta
-            .into_iter()
-            .filter(|vm| !self.space.place(&empty, vm).is_empty())
-            .collect();
-        if usable_delta.is_empty() {
+        let delta = usable(&self.space, delta);
+        if delta.is_empty() {
             // Nothing usable changed: the merged catalog equals ours, and
             // a replay would reproduce this graph field for field.
             return Ok(self.clone());
         }
+        let vm_types = self.vm_types.iter().cloned().chain(delta).collect();
+        let space = self.space.clone();
         match self.mode {
-            BuildMode::Full => self.extend_full(&usable_delta, &pool),
-            BuildMode::Reachable => self.extend_reachable(usable_delta, limits, pool),
+            BuildMode::Full => Ok(Self::expand_full(
+                space,
+                vm_types,
+                self.interner.clone(),
+                Some(self),
+                &pool,
+            )),
+            BuildMode::Reachable => Self::replay(space, vm_types, Some(self), limits, &pool),
         }
     }
 
-    /// Delta path for BFS-built graphs: replay the level-synchronous
-    /// BFS, answering old `(node, VM)` expansions from the cache.
-    fn extend_reachable(
-        &self,
-        usable_delta: Vec<ProfileVm>,
+    /// The reachable-graph engine: a level-synchronous BFS over
+    /// `vm_types` (the base's types first) that answers old `(node, VM)`
+    /// expansions from `base`'s cache and everything else with `place`.
+    fn replay(
+        space: ProfileSpace,
+        vm_types: Vec<ProfileVm>,
+        base: Option<&Self>,
         limits: GraphLimits,
-        pool: Pool,
+        pool: &Pool,
     ) -> Result<Self, GraphError> {
-        let space = self.space.clone();
         let dims = space.dims();
-        let old_v = self.vm_types.len();
-        let merged: Vec<ProfileVm> = self.vm_types.iter().cloned().chain(usable_delta).collect();
+        let old_v = base.map_or(0, |b| b.vm_types.len());
+        let delta_vms = vm_types.get(old_v..).unwrap_or_default();
+        let old_n = base.map_or(0, Self::node_count);
+        let mut st = Replay {
+            base,
+            limits,
+            interner: ProfileInterner::with_capacity(old_n),
+            old2new: vec![UNMAPPED; old_n],
+            new2old: Vec::with_capacity(old_n),
+            identity: base.is_some(),
+        };
+        st.mint(space.empty_profile().values())?;
+        let mut csr = Csr::new(base);
+        let mut row: Vec<NodeId> = Vec::new();
 
-        let mut old2new: Vec<NodeId> = vec![UNMAPPED; self.node_count()];
-        let mut new2old: Vec<NodeId> = Vec::with_capacity(self.node_count());
-        let mut interner = ProfileInterner::with_capacity(self.node_count());
-        interner.intern(space.empty_profile());
-        old2new[0] = 0;
-        new2old.push(0);
-
-        let mut succ: Vec<NodeId> = Vec::new();
-        let mut succ_off: Vec<usize> = vec![0];
-        let mut gsucc: Vec<NodeId> = Vec::with_capacity(self.gsucc.len());
-        let mut goff: Vec<usize> = vec![0];
-        let mut buf: Vec<NodeId> = Vec::new();
-        let mut dedup_hits = 0u64;
-        let mut place_calls = 0u64;
-        let mut cached_groups = 0u64;
-        // While the old→new mapping has stayed the identity (the common
-        // case: the delta's outcomes land on profiles the base graph
-        // already numbered, in the same order), cached groups can be
-        // copied verbatim and the base's already-sorted successor rows
-        // reused — no per-entry translation. The flag latches off the
-        // first time a mint diverges from the base numbering.
-        let mut identity = true;
+        // Every edge strictly increases total usage, so nodes discovered
+        // while merging frontier node `j` sort after everything
+        // discovered from frontier nodes `< j`: processing frontiers in
+        // insertion order visits the same nodes in the same order as a
+        // plain FIFO queue, and each node is fully expanded exactly once.
         let mut level_start = 0usize;
-        while level_start < interner.len() {
-            // Workers evaluate `place` only where the cache cannot
-            // answer: delta VMs everywhere, plus every VM on nodes this
-            // graph has never seen.
+        while level_start < st.interner.len() {
+            // Expand the whole frontier in parallel. Workers evaluate
+            // `place` only where the cache cannot answer: delta VMs on
+            // base nodes, every VM elsewhere. Sub-span per level: the
+            // parallel part of the build; its chunks land on worker lanes
+            // when tracing.
+            let frontier = level_start..st.interner.len();
             let expansions: Vec<Expansion> = {
                 let _expand = Span::enter("expand");
-                let jobs: Vec<(&Profile, bool)> = (level_start..interner.len())
-                    .map(|j| (interner.resolve(ProfileId(nid(j))), new2old[j] != UNMAPPED))
-                    .collect();
-                pool.map(&jobs, |&(node, is_old)| {
-                    let computed = if is_old {
-                        &merged[old_v..]
+                pool.map_index(frontier.len(), |k| {
+                    let j = level_start + k;
+                    let vms = if st.base_id(j).is_some() {
+                        delta_vms
                     } else {
-                        &merged[..]
+                        vm_types.as_slice()
                     };
-                    expand_node(&space, node, computed, dims)
+                    expand_node(&space, st.interner.resolve(ProfileId(nid(j))), vms, dims)
                 })
             };
-            let frontier_start = level_start;
-            level_start = interner.len();
-            let stitch_span = Span::enter("stitch");
-            for (offset, exp) in expansions.into_iter().enumerate() {
-                let j = frontier_start + offset;
-                let old_id = new2old[j];
-                buf.clear();
-                let fast = identity && old_id != UNMAPPED;
-                if fast {
-                    // Under the identity mapping the base's successor
-                    // row for this node is already the sorted, deduped
-                    // union of every cached group — seed `buf` with it
-                    // instead of re-collecting 3M group entries; delta
-                    // outcomes are appended below and the final sort
-                    // restores order.
-                    buf.extend_from_slice(
-                        &self.succ[self.succ_off[ix(old_id)]..self.succ_off[ix(old_id) + 1]],
-                    );
+            level_start = frontier.end;
+            // Sub-span per level: the sequential id-minting merge. The
+            // expand/stitch split is what makes the speedup story
+            // diagnosable in a trace (parallel compute vs serial merge).
+            let _stitch = Span::enter("stitch");
+            for (j, exp) in frontier.zip(expansions) {
+                let cached = st.base_id(j).zip(base);
+                let fast = st.identity && cached.is_some();
+                row.clear();
+                if let (true, Some((old, b))) = (fast, cached) {
+                    // Under the identity mapping the base's successor row
+                    // is already the sorted, deduped union of every
+                    // cached group — seed `row` with it; delta outcomes
+                    // are appended below and the final sort restores
+                    // order.
+                    row.extend_from_slice(b.successors(old));
                 }
-                let mut pos = 0usize;
-                let mut ci = 0usize;
-                for v in 0..merged.len() {
-                    if old_id != UNMAPPED && v < old_v {
-                        // Replay the cached expansion: same outcomes in
-                        // the same enumeration order `place` would give.
-                        cached_groups += 1;
-                        let a = self.goff[ix(old_id) * old_v + v];
-                        let b = self.goff[ix(old_id) * old_v + v + 1];
-                        if fast {
-                            // Ids a replayed group mints appear in
-                            // first-appearance order, which under the
-                            // identity mapping IS numeric order — mint
-                            // `len..=max` straight from the base
-                            // interner and copy the group verbatim.
-                            let group = &self.gsucc[a..b];
-                            if let Some(max) = group.iter().copied().max() {
-                                while interner.len() <= ix(max) {
-                                    if interner.len() >= limits.max_nodes
-                                        || NodeId::try_from(interner.len()).is_err()
-                                    {
-                                        return Err(GraphError::TooLarge {
-                                            max_nodes: limits.max_nodes,
-                                        });
+                let mut outcomes = exp.flat.chunks_exact(dims);
+                let mut counts = exp.counts.into_iter();
+                for v in 0..vm_types.len() {
+                    match cached {
+                        Some((old, b)) if v < old_v => {
+                            // Replay the cached expansion: same outcomes
+                            // in the same enumeration order `place` gives.
+                            csr.cached_groups += 1;
+                            let group = b.vm_successors(old, v);
+                            if fast {
+                                // Ids a replayed group mints appear in
+                                // first-appearance order, which under the
+                                // identity mapping IS numeric order — mint
+                                // `len..=max` straight from the base and
+                                // copy the group verbatim.
+                                if let Some(&max) = group.iter().max() {
+                                    while st.interner.len() <= ix(max) {
+                                        st.adopt(b, nid(st.interner.len()))?;
                                     }
-                                    let next = nid(interner.len());
-                                    let (pid, fresh) = interner
-                                        .intern(self.interner.resolve(ProfileId(next)).clone());
-                                    debug_assert!(
-                                        fresh && pid.node() == next,
-                                        "identity replay minted out of order"
-                                    );
-                                    old2new[ix(next)] = pid.node();
-                                    new2old.push(pid.node());
+                                }
+                                csr.dedup_hits += group.len();
+                                csr.gsucc.extend_from_slice(group);
+                            } else {
+                                for &old_s in group {
+                                    let id = match st.old2new.get(ix(old_s)) {
+                                        Some(&id) if id != UNMAPPED => {
+                                            csr.dedup_hits += 1;
+                                            id
+                                        }
+                                        _ => st.adopt(b, old_s)?,
+                                    };
+                                    csr.gsucc.push(id);
+                                    row.push(id);
                                 }
                             }
-                            dedup_hits += convert::usize_to_u64(group.len());
-                            gsucc.extend_from_slice(group);
-                            goff.push(gsucc.len());
-                            continue;
                         }
-                        for gi in a..b {
-                            let old_s = self.gsucc[gi];
-                            let id = if old2new[ix(old_s)] != UNMAPPED {
-                                dedup_hits += 1;
-                                old2new[ix(old_s)]
-                            } else {
-                                if interner.len() >= limits.max_nodes
-                                    || NodeId::try_from(interner.len()).is_err()
-                                {
-                                    return Err(GraphError::TooLarge {
-                                        max_nodes: limits.max_nodes,
-                                    });
-                                }
-                                let (pid, fresh) = interner
-                                    .intern(self.interner.resolve(ProfileId(old_s)).clone());
-                                debug_assert!(fresh, "old profile interned without a mapping");
-                                old2new[ix(old_s)] = pid.node();
-                                new2old.push(old_s);
-                                pid.node()
-                            };
-                            gsucc.push(id);
-                            buf.push(id);
-                        }
-                    } else {
-                        place_calls += 1;
-                        let count = exp.counts[ci];
-                        ci += 1;
-                        for _ in 0..count {
-                            let vals = &exp.flat[pos..pos + dims];
-                            pos += dims;
-                            let id = match interner.get(vals) {
-                                Some(pid) => {
-                                    dedup_hits += 1;
-                                    pid.node()
-                                }
-                                None => {
-                                    if interner.len() >= limits.max_nodes
-                                        || NodeId::try_from(interner.len()).is_err()
-                                    {
-                                        return Err(GraphError::TooLarge {
-                                            max_nodes: limits.max_nodes,
-                                        });
+                        _ => {
+                            csr.place_calls += 1;
+                            for vals in outcomes.by_ref().take(counts.next().unwrap_or(0)) {
+                                let id = match st.interner.get(vals) {
+                                    Some(pid) => {
+                                        csr.dedup_hits += 1;
+                                        pid.node()
                                     }
-                                    let (pid, _) = interner.intern_values(vals);
-                                    // A delta edge can be the first road
-                                    // into a profile this graph already
-                                    // knows: link the id spaces so its
-                                    // cached expansions replay later.
-                                    match self.interner.get(vals) {
-                                        Some(old_pid) => {
-                                            if old_pid.node() != pid.node() {
-                                                identity = false;
-                                            }
-                                            old2new[old_pid.index()] = pid.node();
-                                            new2old.push(old_pid.node());
-                                        }
-                                        None => {
-                                            identity = false;
-                                            new2old.push(UNMAPPED);
-                                        }
-                                    }
-                                    pid.node()
-                                }
-                            };
-                            gsucc.push(id);
-                            buf.push(id);
+                                    None => st.mint(vals)?,
+                                };
+                                csr.gsucc.push(id);
+                                row.push(id);
+                            }
                         }
                     }
-                    goff.push(gsucc.len());
+                    csr.goff.push(csr.gsucc.len());
                 }
-                buf.sort_unstable();
-                buf.dedup();
-                succ.extend_from_slice(&buf);
-                succ_off.push(succ.len());
+                row.sort_unstable();
+                row.dedup();
+                csr.push_row(&row);
             }
-            drop(stitch_span);
         }
+        Ok(Self::finish(
+            space,
+            vm_types,
+            st.interner,
+            csr,
+            BuildMode::Reachable,
+            base,
+        ))
+    }
 
+    /// The full-space engine: the node set (every canonical profile) does
+    /// not depend on the catalog, so the numbering is final up front and
+    /// only the VM types past `base`'s are expanded — all of them for a
+    /// cold build. Every node is known in advance, so the `place`
+    /// combinatorics and each row's sort are embarrassingly parallel; the
+    /// merge appends per-node rows in node-index order, so the CSR is
+    /// identical at any width.
+    fn expand_full(
+        space: ProfileSpace,
+        vm_types: Vec<ProfileVm>,
+        interner: ProfileInterner,
+        base: Option<&Self>,
+        pool: &Pool,
+    ) -> Self {
+        let dims = space.dims();
+        let old_v = base.map_or(0, |b| b.vm_types.len());
+        let delta_vms = vm_types.get(old_v..).unwrap_or_default();
+        let rows: Vec<(Vec<NodeId>, Vec<usize>, Vec<NodeId>)> =
+            pool.map_index(interner.len(), |i| {
+                let id = nid(i);
+                let mut ids: Vec<NodeId> = Vec::new();
+                let mut counts: Vec<usize> = Vec::with_capacity(vm_types.len());
+                if let Some(b) = base {
+                    for v in 0..old_v {
+                        let group = b.vm_successors(id, v);
+                        ids.extend_from_slice(group);
+                        counts.push(group.len());
+                    }
+                }
+                let exp = expand_node(&space, interner.resolve(ProfileId(id)), delta_vms, dims);
+                for vals in exp.flat.chunks_exact(dims) {
+                    // Every canonical profile was enumerated up front and
+                    // `place` yields canonical outputs, so the lookup hits.
+                    let hit = interner.get(vals);
+                    debug_assert!(hit.is_some(), "successor profile missing from full index");
+                    ids.extend(hit.map(ProfileId::node));
+                }
+                counts.extend(exp.counts);
+                let mut row = ids.clone();
+                row.sort_unstable();
+                row.dedup();
+                (ids, counts, row)
+            });
+
+        let mut csr = Csr::new(base);
+        for (ids, counts, row) in rows {
+            let mut end = csr.gsucc.len();
+            csr.gsucc.extend_from_slice(&ids);
+            for count in counts {
+                end += count;
+                csr.goff.push(end);
+            }
+            csr.push_row(&row);
+        }
+        // Every computed outcome was a lookup of an enumerated node.
+        csr.dedup_hits = csr
+            .gsucc
+            .len()
+            .saturating_sub(base.map_or(0, |b| b.gsucc.len()));
+        csr.cached_groups = interner.len() * old_v;
+        csr.place_calls = interner.len() * delta_vms.len();
+        Self::finish(space, vm_types, interner, csr, BuildMode::Full, base)
+    }
+
+    /// The one exit of every construction path: utilization, the
+    /// `graph.*` counters and the built/extended event, then assembly.
+    fn finish(
+        space: ProfileSpace,
+        vm_types: Vec<ProfileVm>,
+        interner: ProfileInterner,
+        csr: Csr,
+        mode: BuildMode,
+        base: Option<&Self>,
+    ) -> Self {
         let util = interner
             .profiles()
             .iter()
             .map(|p| space.utilization(p))
             .collect();
-        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
-        prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
-        prvm_obs::counter!("graph.dedup_hits", dedup_hits);
-        prvm_obs::counter!("graph.extend.cached_groups", cached_groups);
-        prvm_obs::counter!("graph.extend.place_calls", place_calls);
-        prvm_obs::event("graph.extended")
-            .field("nodes", interner.len())
-            .field(
-                "new_nodes",
-                interner.len().saturating_sub(self.node_count()),
-            )
-            .field("edges", succ.len())
-            .field("dedup_hits", dedup_hits)
-            .field("cached_groups", cached_groups)
-            .field("place_calls", place_calls)
-            .field("vm_types", merged.len())
-            .emit();
-        Ok(Self {
-            space,
-            vm_types: merged,
-            interner,
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util,
-            mode: BuildMode::Reachable,
-        })
-    }
-
-    /// Delta path for full-space graphs: the node set (every canonical
-    /// profile) does not depend on the catalog, so the numbering is
-    /// already final — only the delta VMs' expansions are computed.
-    fn extend_full(&self, usable_delta: &[ProfileVm], pool: &Pool) -> Result<Self, GraphError> {
-        let old_v = self.vm_types.len();
-        let merged: Vec<ProfileVm> = self
-            .vm_types
-            .iter()
-            .cloned()
-            .chain(usable_delta.iter().cloned())
-            .collect();
-        let dims = self.space.dims();
-        let space = self.space.clone();
-        let delta_groups: Vec<(Vec<NodeId>, Vec<usize>)> = {
-            let interner = &self.interner;
-            pool.map(interner.profiles(), |node| {
-                let exp = expand_node(&space, node, usable_delta, dims);
-                let mut ids = Vec::with_capacity(exp.flat.len() / dims.max(1));
-                let mut pos = 0usize;
-                for _ in 0..exp.flat.len() / dims.max(1) {
-                    let vals = &exp.flat[pos..pos + dims];
-                    pos += dims;
-                    match interner.get(vals) {
-                        Some(pid) => ids.push(pid.node()),
-                        None => debug_assert!(false, "successor profile missing from full index"),
-                    }
-                }
-                (ids, exp.counts)
-            })
-        };
-
-        let mut succ: Vec<NodeId> = Vec::new();
-        let mut succ_off: Vec<usize> = vec![0];
-        let mut gsucc: Vec<NodeId> = Vec::with_capacity(self.gsucc.len());
-        let mut goff: Vec<usize> = vec![0];
-        let mut buf: Vec<NodeId> = Vec::new();
-        for (i, (ids, counts)) in delta_groups.iter().enumerate() {
-            buf.clear();
-            for v in 0..old_v {
-                let group = &self.gsucc[self.goff[i * old_v + v]..self.goff[i * old_v + v + 1]];
-                gsucc.extend_from_slice(group);
-                buf.extend_from_slice(group);
-                goff.push(gsucc.len());
-            }
-            let mut pos = 0usize;
-            for &count in counts {
-                gsucc.extend_from_slice(&ids[pos..pos + count]);
-                buf.extend_from_slice(&ids[pos..pos + count]);
-                pos += count;
-                goff.push(gsucc.len());
-            }
-            buf.sort_unstable();
-            buf.dedup();
-            succ.extend_from_slice(&buf);
-            succ_off.push(succ.len());
+        let nodes = interner.len();
+        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(nodes));
+        prvm_obs::counter!("graph.edges", convert::usize_to_u64(csr.succ.len()));
+        prvm_obs::counter!("graph.dedup_hits", convert::usize_to_u64(csr.dedup_hits));
+        if base.is_some() {
+            prvm_obs::counter!(
+                "graph.extend.cached_groups",
+                convert::usize_to_u64(csr.cached_groups)
+            );
+            prvm_obs::counter!(
+                "graph.extend.place_calls",
+                convert::usize_to_u64(csr.place_calls)
+            );
         }
-
-        prvm_obs::event("graph.extended")
-            .field("nodes", self.node_count())
-            .field("new_nodes", 0usize)
-            .field("edges", succ.len())
-            .field("vm_types", merged.len())
-            .emit();
-        Ok(Self {
-            space: self.space.clone(),
-            vm_types: merged,
-            interner: self.interner.clone(),
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util: self.util.clone(),
-            mode: BuildMode::Full,
+        let old_n = base.map_or(0, Self::node_count);
+        prvm_obs::event(if base.is_some() {
+            "graph.extended"
+        } else {
+            "graph.built"
         })
+        .field(
+            "mode",
+            match mode {
+                BuildMode::Reachable => "bfs",
+                BuildMode::Full => "full",
+            },
+        )
+        .field("nodes", nodes)
+        .field("new_nodes", nodes.saturating_sub(old_n))
+        .field("edges", csr.succ.len())
+        .field("dedup_hits", csr.dedup_hits)
+        .field("cached_groups", csr.cached_groups)
+        .field("place_calls", csr.place_calls)
+        .field("vm_types", vm_types.len())
+        .emit();
+        Self {
+            space,
+            vm_types,
+            interner,
+            succ: csr.succ,
+            succ_off: csr.succ_off,
+            gsucc: csr.gsucc,
+            goff: csr.goff,
+            util,
+            mode,
+        }
     }
 
     /// Reassemble a graph from serialized parts (the PVSB cache loader).
@@ -919,109 +882,76 @@ fn expand_node(space: &ProfileSpace, node: &Profile, vms: &[ProfileVm], dims: us
     Expansion { flat, counts }
 }
 
+/// The VM types that fit an empty PM; the others would contribute no
+/// edges.
+fn usable(space: &ProfileSpace, vm_types: Vec<ProfileVm>) -> Vec<ProfileVm> {
+    let empty = space.empty_profile();
+    vm_types
+        .into_iter()
+        .filter(|vm| !space.place(&empty, vm).is_empty())
+        .collect()
+}
+
+/// [`usable`] for a cold build, which needs at least one VM type.
+fn usable_catalog(
+    space: &ProfileSpace,
+    vm_types: Vec<ProfileVm>,
+) -> Result<Vec<ProfileVm>, GraphError> {
+    let usable = usable(space, vm_types);
+    if usable.is_empty() {
+        return Err(GraphError::NoUsableVmTypes);
+    }
+    Ok(usable)
+}
+
 /// Enumerate every canonical profile of the space in lexicographic
-/// (kind-by-kind, non-decreasing) order — the full-graph node set.
+/// (kind-by-kind, non-decreasing) order — the full-graph node set. The
+/// node count, the product over kinds of C(cap + count, count), is
+/// checked against the limits before anything is enumerated.
 fn enumerate_full_space(
     space: &ProfileSpace,
     limits: GraphLimits,
 ) -> Result<ProfileInterner, GraphError> {
-    let mut per_kind: Vec<Vec<Vec<u16>>> = Vec::new();
-    for k in space.kinds() {
-        let mut seqs: Vec<Vec<u16>> = Vec::new();
-        let mut cur = Vec::with_capacity(k.count);
-        fn rec(cap: u16, len: usize, min: u16, cur: &mut Vec<u16>, out: &mut Vec<Vec<u16>>) {
-            if cur.len() == len {
-                out.push(cur.clone());
-                return;
-            }
-            for v in min..=cap {
-                cur.push(v);
-                rec(cap, len, v, cur, out);
-                cur.pop();
-            }
-        }
-        rec(k.cap, k.count, 0, &mut cur, &mut seqs);
-        per_kind.push(seqs);
-    }
-    let total: usize = per_kind.iter().map(Vec::len).product();
-    if total > limits.max_nodes || NodeId::try_from(total).is_err() {
-        return Err(GraphError::TooLarge {
-            max_nodes: limits.max_nodes,
-        });
-    }
+    let total = space.kinds().iter().try_fold(1usize, |acc, k| {
+        multisets(k.cap, k.count).and_then(|m| acc.checked_mul(m))
+    });
+    check_budget(total, limits)?;
 
-    let mut interner = ProfileInterner::with_capacity(total);
-    fn cartesian(
-        remaining: &[Vec<Vec<u16>>],
-        scratch: &mut Vec<u16>,
-        interner: &mut ProfileInterner,
-    ) {
-        let Some((head, rest)) = remaining.split_first() else {
-            interner.intern_values(scratch);
+    // One slot per dimension: its capacity, and whether it opens a kind
+    // (values restart at 0) or continues one (values never decrease).
+    let slots: Vec<(u16, bool)> = space
+        .kinds()
+        .iter()
+        .flat_map(|k| (0..k.count).map(move |i| (k.cap, i == 0)))
+        .collect();
+    fn rec(slots: &[(u16, bool)], floor: u16, cur: &mut Vec<u16>, out: &mut ProfileInterner) {
+        let Some((&(cap, opens), rest)) = slots.split_first() else {
+            out.intern_values(cur);
             return;
         };
-        for seq in head {
-            let start = scratch.len();
-            scratch.extend_from_slice(seq);
-            cartesian(rest, scratch, interner);
-            scratch.truncate(start);
+        for v in if opens { 0 } else { floor }..=cap {
+            cur.push(v);
+            rec(rest, v, cur, out);
+            cur.pop();
         }
     }
-    cartesian(
-        &per_kind,
+    let mut interner = ProfileInterner::with_capacity(total.unwrap_or(0));
+    rec(
+        &slots,
+        0,
         &mut Vec::with_capacity(space.dims()),
         &mut interner,
     );
     Ok(interner)
 }
 
-/// Parallel successor enumeration over a fully-enumerated node set:
-/// every node is known up front, so the hot `place` combinatorics are
-/// embarrassingly parallel; the merge stitches per-node buffers back in
-/// node-index order, so the CSR is identical at any width.
-fn full_adjacency(
-    space: &ProfileSpace,
-    interner: &ProfileInterner,
-    usable: &[ProfileVm],
-    pool: &Pool,
-) -> (Vec<NodeId>, Vec<usize>, Vec<NodeId>, Vec<usize>) {
-    let dims = space.dims();
-    let buffers: Vec<(Vec<NodeId>, Vec<usize>, Vec<NodeId>)> =
-        pool.map(interner.profiles(), |node| {
-            let exp = expand_node(space, node, usable, dims);
-            let mut ids = Vec::with_capacity(exp.flat.len() / dims.max(1));
-            let mut pos = 0usize;
-            for _ in 0..exp.flat.len() / dims.max(1) {
-                let vals = &exp.flat[pos..pos + dims];
-                pos += dims;
-                // Every canonical profile was enumerated up front and
-                // `place` yields canonical outputs, so the lookup hits.
-                match interner.get(vals) {
-                    Some(pid) => ids.push(pid.node()),
-                    None => debug_assert!(false, "successor profile missing from full index"),
-                }
-            }
-            let mut deduped = ids.clone();
-            deduped.sort_unstable();
-            deduped.dedup();
-            (ids, exp.counts, deduped)
-        });
-
-    let mut succ: Vec<NodeId> = Vec::new();
-    let mut succ_off: Vec<usize> = vec![0];
-    let mut gsucc: Vec<NodeId> = Vec::new();
-    let mut goff: Vec<usize> = vec![0];
-    for (ids, counts, deduped) in &buffers {
-        let mut pos = 0usize;
-        for &count in counts {
-            gsucc.extend_from_slice(&ids[pos..pos + count]);
-            pos += count;
-            goff.push(gsucc.len());
-        }
-        succ.extend_from_slice(deduped);
-        succ_off.push(succ.len());
-    }
-    (succ, succ_off, gsucc, goff)
+/// Multisets of `count` values in `0..=cap`, C(cap + count, count), or
+/// `None` if it (or an intermediate product) overflows `usize`.
+fn multisets(cap: u16, count: usize) -> Option<usize> {
+    let n = usize::from(cap).checked_add(count)?;
+    // C(n, i + 1) = C(n, i) * (n - i) / (i + 1) is exact at every step.
+    (0..count.min(usize::from(cap)))
+        .try_fold(1usize, |acc, i| acc.checked_mul(n - i)?.checked_div(i + 1))
 }
 
 #[cfg(test)]
@@ -1158,6 +1088,28 @@ mod tests {
         let vms = vec![ProfileVm::from_demands("[1]", vec![vec![1]])];
         let err = ProfileGraph::build(space, vms, GraphLimits { max_nodes: 5 }).unwrap_err();
         assert_eq!(err, GraphError::TooLarge { max_nodes: 5 });
+
+        // C(28, 14) = 40,116,600 full-space nodes: rejected by counting,
+        // before a single profile is enumerated.
+        let space = ProfileSpace::uniform(14, 14);
+        let vms = vec![ProfileVm::from_demands("[1]", vec![vec![1]])];
+        let limits = GraphLimits::default();
+        let err = ProfileGraph::build_full(space, vms, limits).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::TooLarge {
+                max_nodes: limits.max_nodes
+            }
+        );
+    }
+
+    #[test]
+    fn multiset_counts_are_exact_and_overflow_checked() {
+        assert_eq!(multisets(4, 4), Some(70));
+        assert_eq!(multisets(2, 2), Some(6));
+        assert_eq!(multisets(14, 14), Some(40_116_600));
+        assert_eq!(multisets(1, 0), Some(1));
+        assert_eq!(multisets(u16::MAX, usize::MAX), None);
     }
 
     #[test]

@@ -134,14 +134,8 @@ pub fn pagerank_with_pool(
     config: &PageRankConfig,
     pool: Pool,
 ) -> PageRankResult {
-    assert!(
-        config.damping > 0.0 && config.damping < 1.0,
-        "damping factor must be in (0, 1)"
-    );
     let n = graph.node_count();
-    assert!(n > 0, "graph must have nodes");
-    let nf = convert::usize_to_f64(n);
-    power_iterate(graph, config, pool, vec![1.0 / nf; n])
+    power_iterate(graph, config, pool, vec![1.0 / convert::usize_to_f64(n); n])
 }
 
 /// [`pagerank`] warm-started from a previous run's scores, on the global
@@ -211,12 +205,7 @@ pub fn pagerank_warm_with_pool(
     pool: Pool,
 ) -> PageRankResult {
     let _span = Span::enter("pagerank_warm");
-    assert!(
-        config.damping > 0.0 && config.damping < 1.0,
-        "damping factor must be in (0, 1)"
-    );
     let n = graph.node_count();
-    assert!(n > 0, "graph must have nodes");
     assert_eq!(
         prev_scores.len(),
         prev_graph.node_count(),
@@ -257,13 +246,22 @@ pub fn pagerank_warm_with_pool(
 /// starting vector — cold runs pass uniform `1/N`, warm runs a mapped
 /// previous result. Everything below the starting point is shared, which
 /// is what makes warm and cold runs comparable sweep for sweep.
+///
+/// # Panics
+///
+/// Panics if `config.damping` is outside `(0, 1)` or the graph is empty.
 fn power_iterate(
     graph: &ProfileGraph,
     config: &PageRankConfig,
     pool: Pool,
     init: Vec<f64>,
 ) -> PageRankResult {
+    assert!(
+        config.damping > 0.0 && config.damping < 1.0,
+        "damping factor must be in (0, 1)"
+    );
     let n = graph.node_count();
+    assert!(n > 0, "graph must have nodes");
     let _span = Span::enter("pagerank");
     let run = Registry::global().counter("pagerank.runs").add_fetch(1);
     let residual_series = Registry::global().series(&format!("pagerank.residuals.run{run}"));

@@ -35,19 +35,7 @@ impl ScoreTable {
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
         let graph = ProfileGraph::build(space, vm_types, limits)?;
-        let pr = pagerank(&graph, config);
-        let discount = bpru(&graph);
-        let scores = pr
-            .scores
-            .iter()
-            .zip(&discount)
-            .map(|(&p, &b)| p * b)
-            .collect();
-        Ok(Self {
-            graph,
-            scores,
-            pagerank: pr,
-        })
+        Ok(Self::rank(graph, config, None))
     }
 
     /// Like [`Self::build`], but over **all** canonical profiles of the
@@ -65,19 +53,7 @@ impl ScoreTable {
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
         let graph = ProfileGraph::build_full(space, vm_types, limits)?;
-        let pr = pagerank(&graph, config);
-        let discount = bpru(&graph);
-        let scores = pr
-            .scores
-            .iter()
-            .zip(&discount)
-            .map(|(&p, &b)| p * b)
-            .collect();
-        Ok(Self {
-            graph,
-            scores,
-            pagerank: pr,
-        })
+        Ok(Self::rank(graph, config, None))
     }
 
     /// Incrementally rebuild this table for a catalog grown by `delta`
@@ -99,31 +75,22 @@ impl ScoreTable {
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
         let graph = self.graph.extend(delta, limits)?;
-        let pr = pagerank_warm(&graph, config, &self.graph, &self.pagerank.scores);
-        let discount = bpru(&graph);
-        let scores = pr
-            .scores
-            .iter()
-            .zip(&discount)
-            .map(|(&p, &b)| p * b)
-            .collect();
-        Ok(Self {
-            graph,
-            scores,
-            pagerank: pr,
-        })
+        Ok(Self::rank(graph, config, Some(self)))
     }
 
     /// From-scratch replay of an incremental history: build the base
-    /// catalog's table cold, then build the **merged** graph fresh (via
-    /// [`ProfileGraph::build`], not the extend path) and warm-start
-    /// PageRank from the freshly computed base scores.
+    /// catalog's table cold, then build the **merged** graph cold (via
+    /// [`ProfileGraph::build`], with no base graph and so no cached
+    /// expansions) and warm-start PageRank from the freshly computed base
+    /// scores.
     ///
     /// This is the comparator the determinism tests pin [`Self::extend`]
     /// against: both paths see bit-identical graphs (extend replays BFS
     /// discovery order exactly) and bit-identical warm seeds, so their
-    /// score tables must agree bit for bit — through entirely different
-    /// graph-construction code.
+    /// score tables must agree bit for bit. The two graphs come from the
+    /// same construction engine, run with and without a base; the
+    /// engine itself is pinned against an independent reference BFS in
+    /// `crates/core/tests/determinism.rs`.
     ///
     /// # Errors
     ///
@@ -138,7 +105,17 @@ impl ScoreTable {
         let base = Self::build(space.clone(), base_vm_types, config, limits)?;
         let merged: Vec<ProfileVm> = base.graph.vm_types().iter().cloned().chain(delta).collect();
         let graph = ProfileGraph::build(space, merged, limits)?;
-        let pr = pagerank_warm(&graph, config, &base.graph, &base.pagerank.scores);
+        Ok(Self::rank(graph, config, Some(&base)))
+    }
+
+    /// Score a finished graph: PageRank (warm-started from `warm_from`'s
+    /// converged scores when given, cold otherwise), then the BPRU
+    /// discount `PR(P_i) * BPRU(P_i)`.
+    fn rank(graph: ProfileGraph, config: &PageRankConfig, warm_from: Option<&Self>) -> Self {
+        let pr = match warm_from {
+            Some(prev) => pagerank_warm(&graph, config, &prev.graph, &prev.pagerank.scores),
+            None => pagerank(&graph, config),
+        };
         let discount = bpru(&graph);
         let scores = pr
             .scores
@@ -146,11 +123,11 @@ impl ScoreTable {
             .zip(&discount)
             .map(|(&p, &b)| p * b)
             .collect();
-        Ok(Self {
+        Self {
             graph,
             scores,
             pagerank: pr,
-        })
+        }
     }
 
     /// Reassemble a table from cached parts (the PVSB loader).
@@ -245,25 +222,10 @@ impl ScoreBook {
         config: &PageRankConfig,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
-        let _span = prvm_obs::Span::enter("score_book");
-        let mut tables: Vec<(PmSpec, ScoreTable)> = Vec::new();
-        for pm in pm_specs {
-            if tables.iter().any(|(spec, _)| spec == pm) {
-                continue;
-            }
-            let qpm = quantizer.quantize_pm(pm);
-            let space = ProfileSpace::from_quantized_pm(&qpm);
-            let vms: Vec<ProfileVm> = vm_types
-                .iter()
-                .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
-                .collect();
-            let table = ScoreTable::build(space, vms, config, limits)?;
-            tables.push((pm.clone(), table));
-        }
-        prvm_obs::event("score_book.built")
-            .field("pm_types", tables.len())
-            .emit();
-        Ok(Self { quantizer, tables })
+        Self::build_each(quantizer, pm_specs, |space, pm| {
+            let vms = quantize_vms(&quantizer, &space, pm, vm_types);
+            ScoreTable::build(space, vms, config, limits)
+        })
     }
 
     /// Incrementally rebuild every table for a catalog grown by
@@ -285,10 +247,7 @@ impl ScoreBook {
         let _span = prvm_obs::Span::enter("score_book_extend");
         let mut tables: Vec<(PmSpec, ScoreTable)> = Vec::with_capacity(self.tables.len());
         for (pm, table) in &self.tables {
-            let delta: Vec<ProfileVm> = delta_vm_types
-                .iter()
-                .filter_map(|v| table.space().vm_demand(&self.quantizer.quantize_vm(v, pm)))
-                .collect();
+            let delta = quantize_vms(&self.quantizer, table.space(), pm, delta_vm_types);
             tables.push((pm.clone(), table.extend(delta, config, limits)?));
         }
         prvm_obs::event("score_book.extended")
@@ -316,6 +275,21 @@ impl ScoreBook {
         config: &PageRankConfig,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
+        Self::build_each(quantizer, pm_specs, |space, pm| {
+            let base = quantize_vms(&quantizer, &space, pm, base_vm_types);
+            let delta = quantize_vms(&quantizer, &space, pm, delta_vm_types);
+            ScoreTable::build_seeded(space, base, delta, config, limits)
+        })
+    }
+
+    /// The per-PM-type loop of [`Self::build`] and [`Self::build_seeded`]:
+    /// one table per distinct PM type, in first-seen order, each built by
+    /// `table` from the PM type's profile space.
+    fn build_each(
+        quantizer: Quantizer,
+        pm_specs: &[PmSpec],
+        mut table: impl FnMut(ProfileSpace, &PmSpec) -> Result<ScoreTable, GraphError>,
+    ) -> Result<Self, GraphError> {
         let _span = prvm_obs::Span::enter("score_book");
         let mut tables: Vec<(PmSpec, ScoreTable)> = Vec::new();
         for pm in pm_specs {
@@ -323,17 +297,8 @@ impl ScoreBook {
                 continue;
             }
             let qpm = quantizer.quantize_pm(pm);
-            let space = ProfileSpace::from_quantized_pm(&qpm);
-            let base: Vec<ProfileVm> = base_vm_types
-                .iter()
-                .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
-                .collect();
-            let delta: Vec<ProfileVm> = delta_vm_types
-                .iter()
-                .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
-                .collect();
-            let table = ScoreTable::build_seeded(space, base, delta, config, limits)?;
-            tables.push((pm.clone(), table));
+            let built = table(ProfileSpace::from_quantized_pm(&qpm), pm)?;
+            tables.push((pm.clone(), built));
         }
         prvm_obs::event("score_book.built")
             .field("pm_types", tables.len())
@@ -418,6 +383,20 @@ impl ScoreBook {
         }
         space.canonicalize(&parts)
     }
+}
+
+/// Quantize `vm_types` for PM type `pm` into `space`, dropping the VM
+/// types that structurally cannot fit it.
+fn quantize_vms(
+    quantizer: &Quantizer,
+    space: &ProfileSpace,
+    pm: &PmSpec,
+    vm_types: &[VmSpec],
+) -> Vec<ProfileVm> {
+    vm_types
+        .iter()
+        .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! equality — scheduling must never leak into results.
 
 use pagerankvm::{
-    pagerank_warm_with_pool, pagerank_with_pool, GraphLimits, Orientation, PageRankConfig, Pool,
-    ProfileGraph, ProfileSpace, ProfileVm, ScoreTable,
+    pagerank_warm_with_pool, pagerank_with_pool, GraphLimits, NodeId, Orientation, PageRankConfig,
+    Pool, Profile, ProfileGraph, ProfileSpace, ProfileVm, ScoreTable,
 };
+use std::collections::{HashMap, VecDeque};
 
 fn paper_vms() -> Vec<ProfileVm> {
     vec![
@@ -364,6 +365,151 @@ fn full_space_graph_is_identical_at_1_2_4_threads() {
         assert_eq!(got.edge_count(), reference.edge_count());
         for id in reference.node_ids() {
             assert_eq!(got.successors(id), reference.successors(id), "node {id}");
+        }
+    }
+}
+
+/// An independent reference for the graph engine: the plain
+/// single-threaded FIFO-queue BFS over `ProfileSpace::place` whose order
+/// the level-synchronous build documents it reproduces. Returns every
+/// node's profile and sorted, deduplicated successor ids, in id order.
+fn queue_bfs(space: &ProfileSpace, vms: &[ProfileVm]) -> Vec<(Profile, Vec<NodeId>)> {
+    let empty = space.empty_profile();
+    let usable: Vec<&ProfileVm> = vms
+        .iter()
+        .filter(|vm| !space.place(&empty, vm).is_empty())
+        .collect();
+    let mut ids: HashMap<Profile, NodeId> = HashMap::from([(empty.clone(), 0)]);
+    let mut nodes: Vec<(Profile, Vec<NodeId>)> = vec![(empty, Vec::new())];
+    let mut queue: VecDeque<usize> = VecDeque::from([0]);
+    while let Some(i) = queue.pop_front() {
+        let mut row: Vec<NodeId> = Vec::new();
+        for vm in &usable {
+            for p in space.place(&nodes[i].0, vm) {
+                let id = match ids.get(&p) {
+                    Some(&id) => id,
+                    None => {
+                        let id = NodeId::try_from(nodes.len()).expect("node ids fit u32");
+                        ids.insert(p.clone(), id);
+                        nodes.push((p, Vec::new()));
+                        queue.push_back(nodes.len() - 1);
+                        id
+                    }
+                };
+                row.push(id);
+            }
+        }
+        row.sort_unstable();
+        row.dedup();
+        nodes[i].1 = row;
+    }
+    nodes
+}
+
+fn assert_matches_reference(got: &ProfileGraph, reference: &[(Profile, Vec<NodeId>)], what: &str) {
+    assert_eq!(got.node_count(), reference.len(), "{what}: node count");
+    for (id, (profile, succ)) in got.node_ids().zip(reference) {
+        assert_eq!(got.profile(id), profile, "{what}: node {id} profile");
+        assert_eq!(
+            got.successors(id),
+            succ.as_slice(),
+            "{what}: node {id} successors"
+        );
+        assert_eq!(
+            got.utilization(id).to_bits(),
+            got.space().utilization(profile).to_bits(),
+            "{what}: node {id} utilization bits"
+        );
+    }
+}
+
+/// `build`, `extend` and `build_seeded` share one BFS engine, so
+/// comparing them with each other cannot catch a bug in it. Pin the
+/// engine against the reference queue BFS instead, for a cold build and
+/// for two extend histories: a structural delta that discovers new
+/// nodes (slow replay path) and a refresh delta with an existing
+/// footprint (identity fast path).
+#[test]
+fn build_and_extend_match_an_independent_queue_bfs_at_1_2_4_threads() {
+    let vms = paper_vms();
+    let refresh = ProfileVm::from_demands("[1,1]'", vec![vec![1, 1]]);
+    let histories: [(&str, Vec<ProfileVm>, Vec<ProfileVm>); 2] = [
+        ("structural", vms[1..].to_vec(), vms[..1].to_vec()),
+        ("refresh", vms.clone(), vec![refresh]),
+    ];
+    for (name, base_vms, delta) in histories {
+        let merged: Vec<ProfileVm> = base_vms.iter().chain(&delta).cloned().collect();
+        let reference = queue_bfs(&space(), &merged);
+        assert!(
+            reference.len() > 100,
+            "space too small: {} nodes",
+            reference.len()
+        );
+        for threads in [1usize, 2, 4] {
+            let pool = Pool::new(threads);
+            let built = ProfileGraph::build_with_pool(
+                space(),
+                merged.clone(),
+                GraphLimits::default(),
+                pool,
+            )
+            .expect("build");
+            assert_matches_reference(&built, &reference, &format!("{name} build, {threads}w"));
+
+            let base = ProfileGraph::build_with_pool(
+                space(),
+                base_vms.clone(),
+                GraphLimits::default(),
+                pool,
+            )
+            .expect("base build");
+            assert_matches_reference(
+                &base,
+                &queue_bfs(&space(), &base_vms),
+                &format!("{name} base, {threads}w"),
+            );
+            let extended = base
+                .extend_with_pool(delta.clone(), GraphLimits::default(), pool)
+                .expect("extend");
+            assert_matches_reference(&extended, &reference, &format!("{name} extend, {threads}w"));
+        }
+    }
+}
+
+/// Every full-space node's successors are exactly the placements of
+/// every VM type on its profile, for a cold full build and an extended
+/// one, at 1, 2 and 4 workers; the node set is every multiset.
+#[test]
+fn full_space_successors_are_the_placements_of_every_vm_type() {
+    let vms = paper_vms();
+    for threads in [1usize, 2, 4] {
+        let pool = Pool::new(threads);
+        let built =
+            ProfileGraph::build_full_with_pool(space(), vms.clone(), GraphLimits::default(), pool)
+                .expect("build_full");
+        let extended = ProfileGraph::build_full_with_pool(
+            space(),
+            vms[..1].to_vec(),
+            GraphLimits::default(),
+            pool,
+        )
+        .expect("base build_full")
+        .extend_with_pool(vms[1..].to_vec(), GraphLimits::default(), pool)
+        .expect("extend full");
+        for g in [&built, &extended] {
+            // Multisets of 6 values in 0..=6: C(12, 6).
+            assert_eq!(g.node_count(), 924);
+            for id in g.node_ids() {
+                let mut want: Vec<NodeId> = g
+                    .vm_types()
+                    .iter()
+                    .flat_map(|vm| g.space().place(g.profile(id), vm))
+                    .map(|p| g.node(&p).expect("full space holds every profile"))
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(g.successors(id), want.as_slice(), "{threads}w node {id}");
+            }
         }
     }
 }

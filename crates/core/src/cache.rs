@@ -26,8 +26,8 @@
 //!          final scores n×f64
 //! ```
 //!
-//! The CRC-32 (IEEE polynomial, same parameters as the serve journal's)
-//! covers the whole payload; the header fields are validated
+//! The CRC-32 ([`crc32`], the same function the serve daemon's wire
+//! frames and journal records use) covers the whole payload; the header fields are validated
 //! individually so each failure mode maps to its own [`CacheError`]
 //! variant. Loading re-interns the profile arena in id order and
 //! revalidates structure (offset monotonicity, id ranges, profile
@@ -128,14 +128,13 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Same
-/// parameters as the serve journal's record CRC; duplicated here because
-/// `core` sits below `serve` in the crate DAG.
+/// CRC-32 lookup table (IEEE 802.3, reflected polynomial `0xEDB88320`),
+/// built at compile time.
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
-    let mut i = 0;
+    let (mut i, mut byte) = (0usize, 0u32);
     while i < 256 {
-        let mut crc = i as u32;
+        let mut crc = byte;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
@@ -147,17 +146,24 @@ const fn crc_table() -> [u32; 256] {
         }
         table[i] = crc;
         i += 1;
+        byte += 1;
     }
     table
 }
 
 static CRC_TABLE: [u32; 256] = crc_table();
 
-fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3) of `bytes`, byte-at-a-time over a 256-entry
+/// table. It guards PVSB payloads here and every wire frame and journal
+/// record of the placement daemon.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in bytes {
-        let idx = usize::from((crc as u8) ^ b);
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
+        let [low, ..] = crc.to_le_bytes();
+        // A u8 index is always below the table's 256 entries.
+        let entry = CRC_TABLE.get(usize::from(low ^ b)).copied().unwrap_or(0);
+        crc = (crc >> 8) ^ entry;
     }
     !crc
 }
@@ -741,8 +747,26 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE check value.
+    fn crc32_matches_known_vectors() {
+        // Standard CRC-32/IEEE check values.
+        assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn crc32_single_bit_flip_changes_the_checksum() {
+        let base = b"journal record payload".to_vec();
+        let crc = crc32(&base);
+        for i in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(crc32(&flipped), crc, "flip at byte {i} bit {bit}");
+            }
+        }
     }
 }

@@ -4,31 +4,38 @@
 //! shapes:
 //!
 //! ```text
-//! [rule.D001]                      # opens a rule's config section
-//! roots = pagerank, Placer::choose # comma-separated value list
+//! [rule.D004]                      # opens a rule's config section
+//! home_crate = par                 # comma-separated value list
 //!
 //! L004 | crates/core/src/graph.rs | &self.nodes[ix(id)] | reason…
 //! ```
 //!
 //! Pipe lines are allowlist entries wherever they appear; `key = v, v`
-//! lines belong to the most recent `[rule.XXX]` header. Scoped roots
-//! and exemptions therefore live next to the exceptions they justify,
-//! and rules never hardcode paths.
+//! lines belong to the most recent section header. Scoped roots and
+//! exemptions therefore live next to the exceptions they justify, and
+//! rules never hardcode paths. Besides the per-rule `[rule.XXX]`
+//! sections there is one shared section, `[determinism]`: the roots and
+//! crates that both D001 and D003 scope themselves to.
 
 use crate::allowlist::{self, Entry};
 use std::collections::BTreeMap;
 
-/// Parsed rule configuration: `rule id → key → values`.
+/// The section D001 and D003 share: result-affecting entry points
+/// (`roots`) and the crates they are resolved in (`crates`).
+pub const DETERMINISM: &str = "determinism";
+
+/// Parsed rule configuration: `section → key → values`, where a
+/// section is a rule id or [`DETERMINISM`].
 #[derive(Debug, Default)]
 pub struct Config {
     sections: BTreeMap<String, BTreeMap<String, Vec<String>>>,
 }
 
 impl Config {
-    /// The value list for `rule.key`, empty when absent.
-    pub fn list(&self, rule: &str, key: &str) -> &[String] {
+    /// The value list for `section.key`, empty when absent.
+    pub fn list(&self, section: &str, key: &str) -> &[String] {
         self.sections
-            .get(rule)
+            .get(section)
             .and_then(|s| s.get(key))
             .map_or(&[], Vec::as_slice)
     }
@@ -59,12 +66,15 @@ pub fn parse(text: &str) -> Result<(Config, Vec<Entry>), String> {
             continue;
         }
         if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            let rule = header.strip_prefix("rule.").ok_or_else(|| {
-                format!(
-                    "lint.toml:{}: section `[{header}]` must be `[rule.XXX]`",
-                    n + 1
-                )
-            })?;
+            let rule = header
+                .strip_prefix("rule.")
+                .or((header == DETERMINISM).then_some(header))
+                .ok_or_else(|| {
+                    format!(
+                        "lint.toml:{}: section `[{header}]` must be `[rule.XXX]` or `[{DETERMINISM}]`",
+                        n + 1
+                    )
+                })?;
             section = Some(rule.to_string());
             config.sections.entry(rule.to_string()).or_default();
             continue;
@@ -76,10 +86,18 @@ pub fn parse(text: &str) -> Result<(Config, Vec<Entry>), String> {
         if let Some((key, values)) = line.split_once('=') {
             let Some(rule) = &section else {
                 return Err(format!(
-                    "lint.toml:{}: `key = values` outside any [rule.XXX] section",
+                    "lint.toml:{}: `key = values` outside any section",
                     n + 1
                 ));
             };
+            let key = key.trim();
+            if matches!(rule.as_str(), "D001" | "D003") && matches!(key, "roots" | "crates") {
+                // A per-rule copy would be silently ignored.
+                return Err(format!(
+                    "lint.toml:{}: D001/D003 `{key}` live in the shared [{DETERMINISM}] section",
+                    n + 1
+                ));
+            }
             let values: Vec<String> = values
                 .split(',')
                 .map(str::trim)
@@ -90,11 +108,11 @@ pub fn parse(text: &str) -> Result<(Config, Vec<Entry>), String> {
                 .sections
                 .get_mut(rule)
                 .expect("section inserted at header")
-                .insert(key.trim().to_string(), values);
+                .insert(key.to_string(), values);
             continue;
         }
         return Err(format!(
-            "lint.toml:{}: expected a `[rule.XXX]` header, `key = values`, or a \
+            "lint.toml:{}: expected a section header, `key = values`, or a \
              `RULE | file | substring | reason` allowlist line",
             n + 1
         ));
@@ -111,7 +129,7 @@ mod tests {
     fn sections_and_allowlist_coexist() {
         let text = "\
 # comment
-[rule.D001]
+[determinism]
 roots = pagerank, ProfileGraph::build
 crates = core
 
@@ -122,7 +140,7 @@ L004 | crates/core/src/graph.rs | nodes[ix(id)] | audited accessor
 ";
         let (cfg, entries) = parse(text).unwrap();
         assert_eq!(
-            cfg.list("D001", "roots"),
+            cfg.list(DETERMINISM, "roots"),
             ["pagerank", "ProfileGraph::build"]
         );
         assert!(cfg.contains("D002", "exempt_crates", "obs"));
@@ -137,6 +155,7 @@ L004 | crates/core/src/graph.rs | nodes[ix(id)] | audited accessor
         assert!(parse("key = value\n").is_err()); // outside a section
         assert!(parse("free text\n").is_err());
         assert!(parse("L001 | a | b\n").is_err()); // 3 fields
+        assert!(parse("[rule.D003]\nroots = pagerank\n").is_err()); // shared section
     }
 
     #[test]

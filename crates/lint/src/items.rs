@@ -4,10 +4,12 @@
 //! This is a *linter's* view, not a compiler's: name resolution is
 //! same-crate and text-based, generics are skipped rather than
 //! understood, and anything unrecognised is stepped over. The output
-//! feeds the call graph (`callgraph.rs`) and the D/P rule families
-//! (`rules_v2.rs`), which are written to tolerate over-approximation:
-//! an extra edge or an unknown type makes a rule quieter or an
-//! allowlist entry longer, never a wrong program.
+//! is the one structural view every rule shares: fn bodies, signature
+//! lines and `# Panics` docs for L005/L007, the test-code mark for all
+//! rules, and the call graph (`callgraph.rs`) for the D/P families. The
+//! rules are written to tolerate over-approximation: an extra edge or
+//! an unknown type makes a rule quieter or an allowlist entry longer,
+//! never a wrong program.
 
 use crate::lex::{Kind, Token};
 use crate::scan::SourceFile;
@@ -26,9 +28,16 @@ pub struct FnItem {
     pub name: String,
     /// `SelfType::name` inside an `impl`/`trait` block, else `name`.
     pub qual: String,
+    /// 1-based line of the signature (`pub`/`fn`, past attributes).
+    pub line: usize,
+    /// Any `pub`, including `pub(crate)` and `pub(super)`.
     pub is_pub: bool,
+    /// Bare `pub`: on the crate's public surface.
+    pub is_api: bool,
     /// Under `#[cfg(test)]` or carrying `#[test]`.
     pub in_test: bool,
+    /// Its doc comment has a `# Panics` section.
+    pub doc_panics: bool,
     /// Flattened body tokens (group delimiters materialised).
     pub body: Vec<Token>,
     /// Known value types in scope: parameters and annotated `let`
@@ -57,9 +66,20 @@ pub struct TypeItem {
 pub struct Items {
     pub fns: Vec<FnItem>,
     pub types: Vec<TypeItem>,
+    /// `(file, first line, last line)` of each item that its own
+    /// `#[cfg(test)]` or `#[test]` attribute gates; everything inside,
+    /// fn or not, is test code.
+    pub tests: Vec<(String, usize, usize)>,
 }
 
 impl Items {
+    /// Is 1-based `line` of `rel` inside a test-gated item?
+    pub fn in_test(&self, rel: &str, line: usize) -> bool {
+        self.tests
+            .iter()
+            .any(|(r, first, last)| r == rel && (*first..=*last).contains(&line))
+    }
+
     /// Field type of `type_name.field`, if both are known.
     pub fn field_type(&self, type_name: &str, field: &str) -> Option<&str> {
         self.types
@@ -95,27 +115,53 @@ struct Ctx<'a> {
 }
 
 /// Walk one brace level: a file, `mod` body, or `impl`/`trait` body.
+/// Items that their own attributes gate as test code are recorded in
+/// `items.tests`.
 fn walk(trees: &[Tree], ctx: &Ctx, self_type: Option<&str>, in_test: bool, items: &mut Items) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        i = parse_one(trees, i, ctx, self_type, in_test, items);
+    let mut start = 0usize;
+    while start < trees.len() {
+        let (head, i) = parse_head(trees, start, in_test);
+        let end = parse_item(trees, i, ctx, self_type, &head, items);
+        if head.in_test && !in_test {
+            let last = trees[start..end.min(trees.len())].last();
+            if let Some(last) = last {
+                let span = (ctx.rel.to_string(), trees[start].line(), last.end_line());
+                items.tests.push(span);
+            }
+        }
+        start = end;
     }
 }
 
-/// Parse the item starting at `trees[i]`; returns the index just past it.
-/// Unrecognised constructs advance by one node (graceful degradation).
-#[allow(clippy::too_many_lines)]
-fn parse_one(
-    trees: &[Tree],
-    mut i: usize,
-    ctx: &Ctx,
-    self_type: Option<&str>,
+/// What an item's attributes, docs and visibility say about it.
+struct Head {
+    /// 1-based line of the first token past the attributes.
+    line: usize,
+    is_pub: bool,
+    is_api: bool,
     in_test: bool,
-    items: &mut Items,
-) -> usize {
-    // Attributes: `#[…]` (outer) and `#![…]` (inner).
+    doc_panics: bool,
+    /// Attribute payloads with spaces stripped (`cfg(test)`, `must_use`).
+    attrs: Vec<String>,
+}
+
+/// Attributes, doc comments and visibility starting at `trees[i]`;
+/// returns them with the index of the first token past them.
+fn parse_head(trees: &[Tree], mut i: usize, in_test: bool) -> (Head, usize) {
+    // Attributes: `#[…]` (outer), `#![…]` (inner) and outer docs.
     let mut attrs: Vec<String> = Vec::new();
-    while is_punct(trees.get(i), '#') {
+    let mut doc_panics = false;
+    loop {
+        if let Some(Tree::Leaf(t)) = trees.get(i) {
+            if t.kind.is_trivia() {
+                doc_panics |= t.text.contains("# Panics");
+                i += 1;
+                continue;
+            }
+        }
+        if !is_punct(trees.get(i), '#') {
+            break;
+        }
         let mut j = i + 1;
         if is_punct(trees.get(j), '!') {
             j += 1;
@@ -130,24 +176,48 @@ fn parse_one(
             attrs.push(tokens::to_text(children).replace(' ', ""));
             i = j + 1;
         } else {
-            return i + 1;
+            break;
         }
     }
-    let here_in_test = in_test
+    let in_test = in_test
         || attrs
             .iter()
             .any(|a| a.starts_with("cfg(test") || a.starts_with("cfg(all(test") || a == "test");
+    let line = trees.get(i).map_or(0, Tree::line);
 
     // Visibility.
-    let mut is_pub = false;
+    let (mut is_pub, mut is_api) = (false, false);
     if is_ident(trees.get(i), "pub") {
         is_pub = true;
         i += 1;
         if matches!(trees.get(i), Some(Tree::Group { open: '(', .. })) {
             i += 1;
+        } else {
+            is_api = true;
         }
     }
+    let head = Head {
+        line,
+        is_pub,
+        is_api,
+        in_test,
+        doc_panics,
+        attrs,
+    };
+    (head, i)
+}
 
+/// Parse the item whose head ends at `trees[i]`; returns the index just
+/// past it. Unrecognised constructs advance by one node (graceful
+/// degradation).
+fn parse_item(
+    trees: &[Tree],
+    mut i: usize,
+    ctx: &Ctx,
+    self_type: Option<&str>,
+    head: &Head,
+    items: &mut Items,
+) -> usize {
     // Modifiers before `fn` (const fn / unsafe fn / async fn / extern fn).
     loop {
         match leaf_text(trees.get(i)) {
@@ -171,7 +241,7 @@ fn parse_one(
     }
 
     match leaf_text(trees.get(i)) {
-        Some("fn") => parse_fn(trees, i, ctx, self_type, here_in_test, is_pub, items),
+        Some("fn") => parse_fn(trees, i, ctx, self_type, head, items),
         Some("mod") => {
             // `mod name { … }` or `mod name;`.
             let mut j = i + 2;
@@ -181,7 +251,7 @@ fn parse_one(
                 ..
             }) = trees.get(j)
             {
-                walk(children, ctx, None, here_in_test, items);
+                walk(children, ctx, None, head.in_test, items);
                 j += 1;
             } else if is_punct(trees.get(j), ';') {
                 j += 1;
@@ -196,7 +266,7 @@ fn parse_one(
                 ..
             }) = trees.get(body_at)
             {
-                walk(children, ctx, ty.as_deref(), here_in_test, items);
+                walk(children, ctx, ty.as_deref(), head.in_test, items);
                 body_at + 1
             } else {
                 body_at
@@ -209,13 +279,11 @@ fn parse_one(
                 j += 1;
             }
             if let Some(Tree::Group { children, .. }) = trees.get(j) {
-                walk(children, ctx, Some(&name), here_in_test, items);
+                walk(children, ctx, Some(&name), head.in_test, items);
             }
             j + 1
         }
-        Some(kw @ ("struct" | "enum" | "union")) => {
-            parse_type(trees, i, ctx, kw, here_in_test, is_pub, &attrs, items)
-        }
+        Some(kw @ ("struct" | "enum" | "union")) => parse_type(trees, i, ctx, kw, head, items),
         Some("macro_rules") => {
             // `macro_rules! name { … }` — never descend into macro soup.
             let mut j = i + 1;
@@ -242,8 +310,7 @@ fn parse_fn(
     i: usize,
     ctx: &Ctx,
     self_type: Option<&str>,
-    in_test: bool,
-    is_pub: bool,
+    head: &Head,
     items: &mut Items,
 ) -> usize {
     let Some(name) = leaf_text(trees.get(i + 1)).map(str::to_string) else {
@@ -306,8 +373,11 @@ fn parse_fn(
         rel: ctx.rel.to_string(),
         name,
         qual,
-        is_pub,
-        in_test,
+        line: head.line,
+        is_pub: head.is_pub,
+        is_api: head.is_api,
+        in_test: head.in_test,
+        doc_panics: head.doc_panics,
         body,
         types,
         self_type: self_type.map(str::to_string),
@@ -316,15 +386,12 @@ fn parse_fn(
 }
 
 /// Parse `struct`/`enum`/`union` at `trees[i]` (the keyword).
-#[allow(clippy::too_many_arguments)]
 fn parse_type(
     trees: &[Tree],
     i: usize,
     ctx: &Ctx,
     kw: &str,
-    _in_test: bool,
-    is_pub: bool,
-    attrs: &[String],
+    head: &Head,
     items: &mut Items,
 ) -> usize {
     let line = trees[i].line();
@@ -362,8 +429,8 @@ fn parse_type(
         rel: ctx.rel.to_string(),
         line,
         name,
-        is_pub,
-        must_use: attrs.iter().any(|a| a.starts_with("must_use")),
+        is_pub: head.is_pub,
+        must_use: head.attrs.iter().any(|a| a.starts_with("must_use")),
         fields,
     });
     j
@@ -443,10 +510,11 @@ fn param_types(children: &[Tree], self_type: Option<&str>, out: &mut BTreeMap<St
 /// Record `name → type text` for named struct fields.
 fn struct_fields(children: &[Tree], out: &mut BTreeMap<String, String>) {
     for chunk in split_commas(children) {
-        // Skip per-field attributes and visibility.
+        // Skip per-field docs, attributes and visibility.
         let mut start = 0usize;
         while start < chunk.len() {
             match &chunk[start] {
+                Tree::Leaf(t) if t.kind.is_trivia() => start += 1,
                 Tree::Leaf(t) if t.text == "#" => start += 2,
                 Tree::Leaf(t) if t.text == "pub" => {
                     start += 1;

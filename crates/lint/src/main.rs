@@ -1,13 +1,16 @@
 //! `prvm-lint` — workspace-native static analysis for the PageRankVM
 //! reproduction.
 //!
-//! Two rule layers share one engine (see DESIGN.md §8 and §12):
+//! Every rule runs on one analysis layer (see DESIGN.md §8 and §12):
+//! the lossless token stream (`lex.rs`) and the items extracted from its
+//! token trees (`items.rs`), which own fn bodies, signature lines,
+//! `# Panics` docs and the test-code mark.
 //!
-//! * the masked-line rules L001–L007 (`rules.rs`), now running on the
-//!   lossless lexer (`lex.rs`) instead of the old char state machine;
-//! * the token/call-graph rules D001–D004, P001 and L008
-//!   (`rules_v2.rs`), built on item extraction (`items.rs`) and a
-//!   same-crate call graph (`callgraph.rs`), scoped via `lint.toml`.
+//! * the file-scoped rules L001–L007 (`rules.rs`), which also hold the
+//!   panic-site detector shared with P001;
+//! * the call-graph rules D001–D005, P001 and L008 (`rules_v2.rs`),
+//!   which follow a same-crate call graph (`callgraph.rs`), scoped via
+//!   `lint.toml`.
 //!
 //! ```text
 //! cargo run -p prvm-lint                     # lint the workspace
@@ -177,7 +180,7 @@ pub(crate) fn run_lint(root: &Path, allowlist_path: &Path) -> Result<Report, Str
 
     let mut findings: Vec<Finding> = Vec::new();
     for file in &files {
-        rules::check(file, &mut findings);
+        rules::check(file, &extracted, &mut findings);
     }
     rules_v2::check(&files, &extracted, &graph, &cfg, &mut findings);
     findings.sort_by(|a, b| (&a.rel, a.line, a.rule).cmp(&(&b.rel, b.line, b.rule)));
@@ -258,7 +261,7 @@ fn find_workspace_root() -> Result<PathBuf, String> {
     }
 }
 
-/// Read, lex and mask every `.rs` file under `crates/*/src`.
+/// Read and lex every `.rs` file under `crates/*/src`.
 fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     let crates_dir = root.join("crates");
     let mut out = Vec::new();

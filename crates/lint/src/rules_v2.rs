@@ -1,19 +1,19 @@
 //! The token/call-graph rule families: D (determinism), P (panic
 //! surface) and L008 (`#[must_use]` on builder/score types).
 //!
-//! Unlike L001–L007, which pattern-match masked lines file-locally,
-//! these rules walk the extracted items (`items.rs`) and the same-crate
-//! call graph (`callgraph.rs`), scoped by `lint.toml`:
+//! Where L001–L007 (`rules.rs`) are file-scoped, these rules follow the
+//! same-crate call graph (`callgraph.rs`) over the extracted items
+//! (`items.rs`), scoped by `lint.toml`:
 //!
 //! * **D001** — no iteration over `HashMap`/`HashSet` in functions
-//!   reachable from the configured determinism roots (`[rule.D001]
+//!   reachable from the configured determinism roots (`[determinism]
 //!   roots`). Hash iteration order varies per process; result-affecting
 //!   paths must use `BTreeMap` or sorted vecs.
 //! * **D002** — no `Instant::now` / `SystemTime` / `RandomState` in
 //!   result-affecting crates (`[rule.D002] exempt_crates` carves out
 //!   the observability layers).
 //! * **D003** — no float `.sum()` / `.product()` in functions reachable
-//!   from the hot-path roots: reductions go through the blessed
+//!   from the same determinism roots: reductions go through the blessed
 //!   `prvm-par` fixed-order fold or an explicit sequential loop whose
 //!   order is visible in the source.
 //! * **D004** — no branching on worker count (`global_threads`,
@@ -30,18 +30,20 @@
 //!   (`unwrap`/`expect`, panic-family macros, slice indexing, integer
 //!   division by a non-literal) reachable from a `pub fn` of the
 //!   configured root crates, with the offending call chain in the
-//!   finding. Supersedes the file-local view of L001/L004 with a
-//!   whole-crate one; `assert!` family is excluded by design (contract
-//!   panics, covered by L005's documentation rule).
+//!   finding. It reads the panic-site detector L001/L004/L005 share
+//!   (`rules::panic_sites`) and widens their file-local view to a
+//!   whole-crate one; the `assert!` family and everything inside its
+//!   arguments is excluded by design (contract panics, covered by
+//!   L005's documentation rule).
 //! * **L008** — the types listed in `[rule.L008] types` must carry
 //!   `#[must_use]`: score books, registry handles, fault-plan builders
 //!   and bench configs are all values that only matter if consumed.
 
 use crate::callgraph::CallGraph;
-use crate::config::Config;
+use crate::config::{Config, DETERMINISM};
 use crate::items::{FnItem, Items};
 use crate::lex::{Kind, Token};
-use crate::rules::Finding;
+use crate::rules::{self, Finding, PanicKind};
 use crate::scan::SourceFile;
 use std::collections::BTreeMap;
 
@@ -56,24 +58,6 @@ const HASH_ITER_METHODS: [&str; 9] = [
     "into_keys",
     "into_values",
     "drain",
-];
-
-/// Macros that always panic when reached.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Assertion macros whose argument lists are contract checks, not
-/// incidental panic surface; their interiors are skipped by P001.
-const ASSERT_MACROS: [&str; 6] = [
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-
-const INT_TYPES: [&str; 12] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
 ];
 
 /// Run all token/call-graph rules.
@@ -94,7 +78,7 @@ pub fn check(
     l008_must_use_types(items, cfg, &excerpts, out);
 }
 
-/// Raw source lines by file, for finding excerpts.
+/// Source files by path, for finding excerpts.
 struct Excerpts<'a> {
     files: BTreeMap<&'a str, &'a SourceFile>,
 }
@@ -109,8 +93,7 @@ impl<'a> Excerpts<'a> {
     fn line(&self, rel: &str, line: usize) -> String {
         self.files
             .get(rel)
-            .and_then(|f| f.lines.get(line.saturating_sub(1)))
-            .map_or_else(String::new, |l| l.raw.trim().to_string())
+            .map_or_else(String::new, |f| f.excerpt(line))
     }
 }
 
@@ -126,6 +109,15 @@ fn resolve_roots(items: &Items, roots: &[String], crates: &[String]) -> Vec<usiz
         .filter(|(_, f)| roots.iter().any(|r| r == &f.qual || r == &f.name))
         .map(|(id, _)| id)
         .collect()
+}
+
+/// The `[determinism]` roots D001 and D003 share.
+fn determinism_roots(items: &Items, cfg: &Config) -> Vec<usize> {
+    resolve_roots(
+        items,
+        cfg.list(DETERMINISM, "roots"),
+        cfg.list(DETERMINISM, "crates"),
+    )
 }
 
 /// Type of the value feeding a `.method(…)` chain or a `for … in`
@@ -189,7 +181,7 @@ fn d001_no_hash_iteration(
     excerpts: &Excerpts,
     out: &mut Vec<Finding>,
 ) {
-    let roots = resolve_roots(items, cfg.list("D001", "roots"), cfg.list("D001", "crates"));
+    let roots = determinism_roots(items, cfg);
     if roots.is_empty() {
         return;
     }
@@ -299,7 +291,7 @@ fn d003_no_float_reductions(
     excerpts: &Excerpts,
     out: &mut Vec<Finding>,
 ) {
-    let roots = resolve_roots(items, cfg.list("D003", "roots"), cfg.list("D003", "crates"));
+    let roots = determinism_roots(items, cfg);
     if roots.is_empty() {
         return;
     }
@@ -506,7 +498,11 @@ fn p001_panic_surface(
         if exempt_files.iter().any(|e| f.rel.ends_with(e.as_str())) {
             continue;
         }
-        for (line, what) in panic_sites(f) {
+        let sites = rules::panic_sites(&f.body, &f.types)
+            .into_iter()
+            .filter(|s| !s.in_assert && s.kind != PanicKind::Assert);
+        for site in sites {
+            let (line, what) = (site.line, site.kind.label());
             if seen.insert((f.rel.clone(), line, what)) {
                 push(
                     out,
@@ -520,106 +516,6 @@ fn p001_panic_surface(
             }
         }
     }
-}
-
-/// Panicking constructs in one fn body: `(line, kind)` pairs.
-fn panic_sites(f: &FnItem) -> Vec<(usize, &'static str)> {
-    let body = &f.body;
-    let mut sites = Vec::new();
-    let mut skip_until = 0usize; // end of an assertion-macro argument list
-    let mut i = 0usize;
-    while i < body.len() {
-        if i < skip_until {
-            i += 1;
-            continue;
-        }
-        let t = &body[i];
-        // Assertion macros: contract checks, skip their argument group.
-        if t.kind == Kind::Ident
-            && ASSERT_MACROS.contains(&t.text.as_str())
-            && body.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            skip_until = group_end(body, i + 2);
-            i += 1;
-            continue;
-        }
-        if t.kind == Kind::Ident
-            && PANIC_MACROS.contains(&t.text.as_str())
-            && body.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            sites.push((t.line, "panic macro"));
-        }
-        if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && body.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct('.'))
-            && body.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            sites.push((t.line, "unwrap/expect"));
-        }
-        if t.is_punct('[') {
-            if let Some(prev) = i.checked_sub(1).and_then(|p| body.get(p)) {
-                if prev.kind == Kind::Ident && !is_keyword(&prev.text)
-                    || prev.is_punct(')')
-                    || prev.is_punct(']')
-                {
-                    sites.push((t.line, "slice indexing"));
-                }
-            }
-        }
-        if t.is_punct('/') {
-            // Division where the divisor is a value of known integer
-            // type: can panic on zero. Literal divisors are exempt.
-            let lhs_ok = i.checked_sub(1).and_then(|p| body.get(p)).is_some_and(|p| {
-                p.kind == Kind::Ident
-                    || p.kind == Kind::Number
-                    || p.is_punct(')')
-                    || p.is_punct(']')
-            });
-            let rhs_int = body.get(i + 1).is_some_and(|n| {
-                n.kind == Kind::Ident
-                    && f.types
-                        .get(&n.text)
-                        .is_some_and(|ty| INT_TYPES.iter().any(|t| ty == t))
-            });
-            if lhs_ok && rhs_int {
-                sites.push((t.line, "integer division"));
-            }
-        }
-        i += 1;
-    }
-    sites
-}
-
-/// Index one past the end of the group starting at `open` (which must
-/// be a delimiter token); `open` itself when it is not a delimiter.
-fn group_end(body: &[Token], open: usize) -> usize {
-    let Some(t) = body.get(open) else {
-        return open;
-    };
-    let (o, c) = match t.text.as_str() {
-        "(" => ('(', ')'),
-        "[" => ('[', ']'),
-        "{" => ('{', '}'),
-        _ => return open,
-    };
-    let mut depth = 0i32;
-    for (j, u) in body.iter().enumerate().skip(open) {
-        if u.is_punct(o) {
-            depth += 1;
-        } else if u.is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-    }
-    body.len()
-}
-
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "in" | "as" | "mut" | "return" | "break" | "else" | "if" | "match" | "dyn" | "impl"
-    )
 }
 
 /// L008: the configured builder/score types must be `#[must_use]`.
@@ -665,8 +561,7 @@ mod tests {
 
     fn base_cfg() -> Config {
         let mut cfg = Config::default();
-        cfg.set("D001", "roots", &["entry"]);
-        cfg.set("D003", "roots", &["entry"]);
+        cfg.set(DETERMINISM, "roots", &["entry"]);
         cfg.set("D002", "exempt_crates", &["obs", "bench"]);
         cfg.set("D004", "home_crate", &["par"]);
         cfg.set("D004", "exempt_crates", &["bench", "cli"]);
@@ -706,7 +601,7 @@ impl S {
 }
 ";
         let mut cfg = base_cfg();
-        cfg.set("D001", "roots", &["S::entry"]);
+        cfg.set(DETERMINISM, "roots", &["S::entry"]);
         let fired = run_on("x", src, &cfg);
         assert!(fired.iter().any(|f| f.0 == "D001" && f.1 == 5), "{fired:?}");
     }

@@ -1,32 +1,43 @@
 //! `--self-test`: prove the engine still catches seeded violations.
 //!
-//! Writes a synthetic workspace into a temp directory with exactly one
-//! deliberate violation per rule (L001–L008, D001–D004, P001), runs the
+//! Writes a synthetic workspace into a temp directory with deliberate
+//! violations for every rule (L001–L008, D001–D005, P001), runs the
 //! full lint pipeline on it with an empty allowlist, and fails unless
-//! *every* rule fires. This is the acceptance check that a refactor of
-//! the lexer/call-graph stack cannot silently lobotomise a rule: CI
-//! runs it next to the clean-tree check, so "zero findings" always
-//! means "zero findings from a detector that demonstrably detects".
+//! the findings are exactly the pinned `(rule, file, line)` set: every
+//! rule fires, at its seeded line and nowhere else. This is the
+//! acceptance check that a refactor of the lexer/item/call-graph stack
+//! cannot silently lobotomise a rule or shift its sites: CI runs it next
+//! to the clean-tree check, so "zero findings" always means "zero
+//! findings from a detector that demonstrably detects".
 
 use std::path::{Path, PathBuf};
 
-/// Rule ids the seeded tree must trigger.
+/// The findings the seeded tree must produce, as sorted `RULE file:line`.
 const EXPECTED: &[&str] = &[
-    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "D001", "D002", "D003", "D004",
-    "D005", "P001",
+    "D001 crates/core/src/pagerank.rs:7",
+    "D002 crates/sim/src/lib.rs:2",
+    "D003 crates/core/src/pagerank.rs:10",
+    "D004 crates/sim/src/lib.rs:3",
+    "D005 crates/sim/src/lib.rs:10",
+    "L001 crates/core/src/pagerank.rs:13",
+    "L002 crates/core/src/pagerank.rs:22",
+    "L003 crates/sim/src/lib.rs:4",
+    "L004 crates/core/src/pagerank.rs:11",
+    "L005 crates/core/src/pagerank.rs:5",
+    "L006 crates/testbed/src/lib.rs:4",
+    "L007 crates/core/src/pagerank.rs:5",
+    "L008 crates/core/src/lib.rs:3",
+    "P001 crates/core/src/pagerank.rs:11",
+    "P001 crates/core/src/pagerank.rs:13",
 ];
 
 const SELFTEST_TOML: &str = "\
-[rule.D001]
+[determinism]
 roots = pagerank
 crates = core
 
 [rule.D002]
 exempt_crates = obs, bench, testbed, solver, cli, lint
-
-[rule.D003]
-roots = pagerank
-crates = core
 
 [rule.D004]
 home_crate = par
@@ -101,33 +112,30 @@ pub fn pump(rx: &Receiver<u32>) {
 }
 ";
 
-/// Run the self-test; `Ok(())` when every expected rule fired.
+/// Run the self-test; `Ok(())` when the seeded tree produced exactly
+/// the pinned findings.
 pub fn run() -> Result<(), String> {
     let root = std::env::temp_dir().join(format!("prvm-lint-selftest-{}", std::process::id()));
     let result = seeded_run(&root);
     let _ = std::fs::remove_dir_all(&root); // best-effort cleanup
     let fired = result?;
-    let missing: Vec<&str> = EXPECTED
-        .iter()
-        .copied()
-        .filter(|r| !fired.iter().any(|f| f == r))
-        .collect();
-    if missing.is_empty() {
-        println!(
-            "prvm-lint: self-test ok — all {} rules fired on the seeded tree",
-            EXPECTED.len()
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "self-test FAILED: seeded violations for {} went undetected (fired: {})",
-            missing.join(", "),
-            fired.join(", ")
-        ))
+    if fired != EXPECTED {
+        return Err(format!(
+            "self-test FAILED: the seeded tree must produce exactly {EXPECTED:?}, got {fired:?}"
+        ));
     }
+    let mut rules: Vec<&str> = EXPECTED.iter().filter_map(|s| s.get(..4)).collect();
+    rules.dedup();
+    println!(
+        "prvm-lint: self-test ok — all {} rules fired at their {} seeded sites",
+        rules.len(),
+        EXPECTED.len()
+    );
+    Ok(())
 }
 
-/// Write the seeded tree and lint it; returns the fired rule ids.
+/// Write the seeded tree and lint it; returns the findings as sorted
+/// `RULE file:line`.
 fn seeded_run(root: &Path) -> Result<Vec<String>, String> {
     write(root, "lint.toml", SELFTEST_TOML)?;
     write(root, "crates/core/src/lib.rs", CORE_LIB)?;
@@ -135,9 +143,12 @@ fn seeded_run(root: &Path) -> Result<Vec<String>, String> {
     write(root, "crates/sim/src/lib.rs", SIM_LIB)?;
     write(root, "crates/testbed/src/lib.rs", TESTBED_LIB)?;
     let report = crate::run_lint(root, &root.join("lint.toml"))?;
-    let mut fired: Vec<String> = report.findings.iter().map(|f| f.rule.to_string()).collect();
+    let mut fired: Vec<String> = report
+        .findings
+        .iter()
+        .map(|f| format!("{} {}:{}", f.rule, f.rel, f.line))
+        .collect();
     fired.sort();
-    fired.dedup();
     Ok(fired)
 }
 
@@ -160,10 +171,11 @@ mod tests {
         let result = seeded_run(&root);
         let _ = std::fs::remove_dir_all(&root);
         let fired = result.expect("seeded run");
-        for rule in EXPECTED {
+        assert_eq!(fired, EXPECTED);
+        for (rule, _) in crate::output::CATALOG {
             assert!(
-                fired.iter().any(|f| f == rule),
-                "{rule} did not fire; fired: {fired:?}"
+                EXPECTED.iter().any(|e| e.starts_with(rule)),
+                "{rule} has no seeded site"
             );
         }
     }

@@ -1,9 +1,10 @@
 //! Token trees: the lexer's flat stream grouped by `()`/`[]`/`{}`.
 //!
-//! Trivia (whitespace, comments) is dropped here — the tree is the
-//! *code* view that `items.rs` and the D/P rules walk. Doc comments and
-//! exact masking live in `scan.rs`, which works on the raw token
-//! stream instead.
+//! Whitespace and plain comments are dropped here — the tree is the
+//! *code* view that `items.rs` walks. Outer doc comments (`///`,
+//! `/** */`) stay as leaves, because they are attributes (rustc
+//! desugars them to `#[doc = …]`): the item walk reads them next to
+//! `#[…]`, and [`flatten`] drops them again, so fn bodies are pure code.
 //!
 //! Angle brackets are **not** delimiters (matching rustc's own token
 //! trees): `Vec<f64>` appears as `Vec` `<` `f64` `>` leaves, and
@@ -20,6 +21,9 @@ pub enum Tree {
     Group {
         open: char,
         line: usize,
+        /// The 1-based line of the closing delimiter (the last line of
+        /// the group when it is never closed).
+        close: usize,
         children: Vec<Tree>,
     },
 }
@@ -32,9 +36,18 @@ impl Tree {
             Tree::Group { line, .. } => *line,
         }
     }
+
+    /// The 1-based source line this node ends on.
+    pub fn end_line(&self) -> usize {
+        match self {
+            Tree::Leaf(t) => t.line + t.text.matches('\n').count(),
+            Tree::Group { close, .. } => *close,
+        }
+    }
 }
 
-/// Build token trees from a lexed stream, skipping trivia.
+/// Build token trees from a lexed stream, skipping trivia other than
+/// outer doc comments.
 ///
 /// Unbalanced close delimiters are kept as plain leaves rather than
 /// failing: the linter must degrade gracefully on any input that
@@ -42,31 +55,38 @@ impl Tree {
 pub fn build(tokens: &[Token]) -> Vec<Tree> {
     let mut iter = tokens
         .iter()
-        .filter(|t| !t.kind.is_trivia())
+        .filter(|t| !t.kind.is_trivia() || t.is_outer_doc())
         .cloned()
         .peekable();
-    parse_group(&mut iter, None)
+    parse_group(&mut iter, None).0
 }
 
+/// Parse up to the `closing` delimiter; returns the children and the
+/// line the group ends on.
 fn parse_group(
     iter: &mut std::iter::Peekable<impl Iterator<Item = Token>>,
     closing: Option<char>,
-) -> Vec<Tree> {
+) -> (Vec<Tree>, Option<usize>) {
     let mut out = Vec::new();
     while let Some(tok) = iter.peek() {
         if tok.kind == Kind::Punct {
             let c = tok.text.chars().next().unwrap_or('\0');
             if Some(c) == closing {
+                let close = tok.line;
                 iter.next();
-                return out;
+                return (out, Some(close));
             }
-            if let Some(close) = matching_close(c) {
+            if let Some(close_char) = matching_close(c) {
                 let line = tok.line;
                 iter.next();
-                let children = parse_group(iter, Some(close));
+                let (children, close) = parse_group(iter, Some(close_char));
+                let close = close
+                    .or_else(|| children.last().map(Tree::end_line))
+                    .unwrap_or(line);
                 out.push(Tree::Group {
                     open: c,
                     line,
+                    close,
                     children,
                 });
                 continue;
@@ -74,7 +94,7 @@ fn parse_group(
         }
         out.push(Tree::Leaf(iter.next().expect("peeked")));
     }
-    out
+    (out, None)
 }
 
 fn matching_close(open: char) -> Option<char> {
@@ -87,22 +107,22 @@ fn matching_close(open: char) -> Option<char> {
 }
 
 /// Flatten a subtree back into a linear token sequence, materialising
-/// group delimiters as `Punct` tokens. This is the form the body
-/// scanners in `rules_v2.rs` pattern-match on.
+/// group delimiters as `Punct` tokens and dropping doc comments. This
+/// is the form the body scanners in the rules pattern-match on.
 pub fn flatten(trees: &[Tree], out: &mut Vec<Token>) {
     for tree in trees {
         match tree {
+            Tree::Leaf(t) if t.kind.is_trivia() => {}
             Tree::Leaf(t) => out.push(t.clone()),
             Tree::Group {
                 open,
                 line,
+                close,
                 children,
             } => {
                 out.push(punct(*open, *line));
                 flatten(children, out);
-                let close = matching_close(*open).unwrap_or(*open);
-                let end = children.last().map_or(*line, |c| c.line());
-                out.push(punct(close, end));
+                out.push(punct(matching_close(*open).unwrap_or(*open), *close));
             }
         }
     }
